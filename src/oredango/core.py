@@ -23,7 +23,8 @@ Coordinates are 1-based (row, col) pairs counted from the top-left cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 BLACK = "B"
 WHITE = "W"
@@ -72,6 +73,20 @@ class Skewer:
         return len(self.path)
 
 
+class Constraint(NamedTuple):
+    """One rule instance: the black count over `cells` lies in [`lo`, `hi`].
+
+    `rule`, `index` and `window` name it as in `Violation`.
+    """
+
+    rule: str
+    index: int
+    window: int | None
+    cells: tuple[Coord, ...]
+    lo: int
+    hi: int
+
+
 @dataclass(frozen=True)
 class Board:
     """Immutable puzzle instance.  Construct through `build_board`."""
@@ -92,6 +107,29 @@ class Board:
             if clue is not None:
                 return clue
         return None
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """Rules A-D as count bounds: rule A by clued skewer, then the
+        windows of rule B by skewer, C by row and D by column.
+
+        Built once per board; the checker, the search engine and the 0-1
+        model all read it.
+        """
+        found = []
+        for k, skewer in enumerate(self.skewers, start=1):
+            clue = self.clue_of(skewer)
+            if clue is not None:
+                found.append(Constraint("A", k, None, skewer.path, clue, clue))
+        index = triple_index(self)
+        groups = (("B", index.skewer_triples),
+                  ("C", index.row_triples),
+                  ("D", index.col_triples))
+        for rule, lines in groups:
+            for i, windows in enumerate(lines, start=1):
+                for w, cells in enumerate(windows, start=1):
+                    found.append(Constraint(rule, i, w, cells, 1, 2))
+        return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -299,8 +337,7 @@ def triple_index(board: Board) -> TripleIndex:
 def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
     """Check a total coloring against rules A-D.
 
-    The report lists rule A violations by skewer index, then rule B by
-    (skewer, window), rule C by (row, window), and rule D by (col, window).
+    The report lists the broken entries of `board.constraints` in order.
     An empty report means the coloring solves the board.
     """
     if coloring.cells != frozenset(board.circles):
@@ -309,26 +346,11 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
         raise ColoringError(
             f"coloring domain mismatch: missing {missing}, extra {extra}")
 
-    index = triple_index(board)
     found: list[Violation] = []
-
-    for k, skewer in enumerate(board.skewers, start=1):
-        clue = board.clue_of(skewer)
-        if clue is None:
-            continue
-        blacks = coloring.count_black(skewer.path)
-        if blacks != clue:
-            found.append(Violation("A", k, None, skewer.path,
-                                   blacks, clue, clue))
-
-    groups = (("B", index.skewer_triples),
-              ("C", index.row_triples),
-              ("D", index.col_triples))
-    for rule, lines in groups:
-        for i, windows in enumerate(lines, start=1):
-            for w, cells in enumerate(windows, start=1):
-                blacks = coloring.count_black(cells)
-                if blacks in (0, 3):
-                    found.append(Violation(rule, i, w, cells, blacks, 1, 2))
+    for con in board.constraints:
+        blacks = coloring.count_black(con.cells)
+        if not con.lo <= blacks <= con.hi:
+            found.append(Violation(con.rule, con.index, con.window, con.cells,
+                                   blacks, con.lo, con.hi))
 
     return ViolationReport(tuple(found))

@@ -1,8 +1,7 @@
 """0-1 integer model of a board, LP-format export, and feasibility check.
 
-One binary variable per circle, 1 meaning black.  A clued skewer pins the
-sum of its variables to the clue, and every three-circle window along a
-skewer, row, or column keeps its sum within [1, 2].  The objective
+One binary variable per circle, 1 meaning black, and one row per entry of
+`Board.constraints`, bounding the sum of its variables.  The objective
 minimizes the total black count but carries no meaning here: any feasible
 point is a puzzle solution and vice versa.
 """
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import BLACK, WHITE, Board, Coloring, Coord, triple_index
+from .core import BLACK, WHITE, Board, Coloring, Coord
 from .solver import BoundedCounts
 
 
@@ -43,36 +42,24 @@ def variable_name(coord: Coord) -> str:
     return f"x_{coord[0]}_{coord[1]}"
 
 
+_ROW_NAME = {"A": "sk{0.index}", "B": "tb{0.index}_{0.window}",
+             "C": "tr{0.index}_{0.window}", "D": "tc{0.index}_{0.window}"}
+
+
 def build_model(board: Board) -> LinearModel:
     """Assemble the 0-1 model of a board.
 
-    Constraint order: `sk<r>` equalities for the clued skewers, then
-    window ranges `tb<r>_<t>` per skewer, `tr<i>_<s>` per row, and
-    `tc<j>_<t>` per column, each window bounded within [1, 2].
+    One constraint per entry of `board.constraints`, in order, named
+    `sk<r>` for rule A on skewer r and `tb`, `tr` or `tc<i>_<w>` for
+    window w of rule B, C or D on line i.
     """
-    coords = board.circle_coords()
-    variables = tuple((variable_name(c), c) for c in coords)
-    constraints: list[LinearConstraint] = []
-
-    for k, skewer in enumerate(board.skewers, start=1):
-        clue = board.clue_of(skewer)
-        if clue is not None:
-            terms = tuple(variable_name(c) for c in skewer.path)
-            constraints.append(LinearConstraint(f"sk{k}", terms, clue, clue))
-
-    index = triple_index(board)
-    sections = (("tb", index.skewer_triples),
-                ("tr", index.row_triples),
-                ("tc", index.col_triples))
-    for prefix, lines in sections:
-        for i, windows in enumerate(lines, start=1):
-            for t, window in enumerate(windows, start=1):
-                terms = tuple(variable_name(c) for c in window)
-                constraints.append(
-                    LinearConstraint(f"{prefix}{i}_{t}", terms, 1, 2))
-
-    return LinearModel(variables, tuple(constraints),
-                       tuple(1 for _ in variables))
+    names = {c: variable_name(c) for c in board.circle_coords()}
+    constraints = tuple(
+        LinearConstraint(_ROW_NAME[con.rule].format(con),
+                         tuple(names[c] for c in con.cells), con.lo, con.hi)
+        for con in board.constraints)
+    variables = tuple((name, c) for c, name in names.items())
+    return LinearModel(variables, constraints, tuple(1 for _ in variables))
 
 
 def _sum_of(terms: tuple[str, ...]) -> str:

@@ -75,6 +75,18 @@ class OneInThreeInstance:
     clauses: tuple[Clause, ...]
 
 
+def _check_clause(pos: int, literals: Sequence[Literal], nvars: int) -> None:
+    if len(literals) != 3:
+        raise ReductionError(f"clause {pos} needs exactly three literals")
+    for lit in literals:
+        if not 1 <= lit.var <= nvars:
+            raise ReductionError(
+                f"clause {pos} uses variable {lit.var}, beyond {nvars}")
+    if len({lit.var for lit in literals}) != 3:
+        raise ReductionError(f"clause {pos} uses a variable twice, not three "
+                             "distinct ones")
+
+
 def one_in_three(nvars: int,
                  clauses: Iterable[Iterable[int | Literal]]) -> OneInThreeInstance:
     """Build a normalized instance; literals may be signed integers."""
@@ -91,15 +103,7 @@ def one_in_three(nvars: int,
                 if value == 0:
                     raise ReductionError(f"clause {pos} holds a zero literal")
                 literals.append(Literal(abs(value), value < 0))
-        if len(literals) != 3:
-            raise ReductionError(f"clause {pos} needs exactly three literals")
-        for lit in literals:
-            if not 1 <= lit.var <= nvars:
-                raise ReductionError(
-                    f"clause {pos} uses variable {lit.var}, beyond {nvars}")
-        if len({lit.var for lit in literals}) != 3:
-            raise ReductionError(
-                f"clause {pos} uses a variable twice")
+        _check_clause(pos, literals, nvars)
         normalized.append(tuple(sorted(literals)))
     return OneInThreeInstance(nvars, tuple(normalized))
 
@@ -131,18 +135,6 @@ def _col(lit: Literal) -> int:
     return 4 * lit.var - 2 + (1 if lit.negated else 0)
 
 
-def _check_clauses(instance: OneInThreeInstance) -> None:
-    for pos, clause in enumerate(instance.clauses, start=1):
-        if len(clause) != 3 or len({lit.var for lit in clause}) != 3:
-            raise ReductionError(f"clause {pos} must cover three distinct "
-                                 "variables")
-        for lit in clause:
-            if not 1 <= lit.var <= instance.nvars:
-                raise ReductionError(
-                    f"clause {pos} uses variable {lit.var}, beyond "
-                    f"{instance.nvars}")
-
-
 def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     """Translate an instance into a board with matching solutions.
 
@@ -151,7 +143,8 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     ReductionError for empty instances, clauses over fewer than three
     distinct variables, or variables in no clause.
     """
-    _check_clauses(instance)
+    for pos, clause in enumerate(instance.clauses, start=1):
+        _check_clause(pos, clause, instance.nvars)
     n = instance.nvars
     if n < 1:
         raise ReductionError("an instance needs at least one variable")

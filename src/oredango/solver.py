@@ -1,23 +1,22 @@
 """Complete solver and propagation engine for Oredango boards.
 
-Every puzzle rule is a two-sided bound on a black count: a clue pins the
-sum over its skewer exactly, and each three-circle window along a skewer,
-row, or column must hold one or two blacks.  The search below therefore
-works on a single constraint shape, `sum of 0-1 variables within
-[lo, hi]`, with counting propagation over those bounds and depth-first
-search on the first unassigned circle in row-major order, black before
-white.  Solutions come out in lexicographic order (black sorts before
-white) and node counts are reproducible.
+`Board.constraints` lists every puzzle rule as a two-sided bound on a
+black count, so the search below works on a single constraint shape,
+`sum of 0-1 variables within [lo, hi]`, with counting propagation over
+those bounds and depth-first search on the first unassigned circle in
+row-major order, black before white.  Solutions come out in lexicographic
+order (black sorts before white) and node counts are reproducible.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .core import (BLACK, WHITE, Board, Coloring, ColoringError, Coord,
-                   check_coloring, triple_index)
+                   check_coloring)
 
 
 class SolveStatus(Enum):
@@ -178,16 +177,12 @@ class BoundedCounts:
 
 
 def board_engine(board: Board) -> tuple[list[Coord], BoundedCounts]:
-    """Index a board's circles row-major and wrap its rules as count groups."""
+    """Index a board's circles row-major and wrap `board.constraints` as
+    count groups over those indices."""
     coords = board.circle_coords()
     index = {coord: i for i, coord in zip(range(len(coords)), coords)}
-    groups: list[tuple[list[int], int, int]] = []
-    for skewer in board.skewers:
-        clue = board.clue_of(skewer)
-        if clue is not None:
-            groups.append(([index[c] for c in skewer.path], clue, clue))
-    for window in triple_index(board).all_triples():
-        groups.append(([index[c] for c in window], 1, 2))
+    groups = (([index[c] for c in con.cells], con.lo, con.hi)
+              for con in board.constraints)
     return coords, BoundedCounts(len(coords), groups)
 
 
@@ -197,7 +192,8 @@ def _as_coloring(coords: Sequence[Coord], values: Sequence[int]) -> Coloring:
 
 
 def _seed_values(board: Board, partial: Mapping[Coord, str],
-                 index: Mapping[Coord, int]) -> list[tuple[int, int]]:
+                 coords: Sequence[Coord]) -> list[tuple[int, int]]:
+    # `coords` is sorted, so a circle's variable index is its bisection point
     seed = []
     for coord in sorted(partial):
         if coord not in board.circles:
@@ -205,7 +201,7 @@ def _seed_values(board: Board, partial: Mapping[Coord, str],
         color = partial[coord]
         if color not in (BLACK, WHITE):
             raise ColoringError(f"bad color {color!r} at {coord}")
-        seed.append((index[coord], 1 if color == BLACK else 0))
+        seed.append((bisect_left(coords, coord), 1 if color == BLACK else 0))
     return seed
 
 
@@ -219,8 +215,7 @@ def propagate(board: Board, partial: Mapping[Coord, str]) -> PartialColoring | N
     guarantee that a solution exists.
     """
     coords, engine = board_engine(board)
-    index = {coord: i for i, coord in zip(range(len(coords)), coords)}
-    fixed = engine.deduce(_seed_values(board, partial, index))
+    fixed = engine.deduce(_seed_values(board, partial, coords))
     if fixed is None:
         return None
     return {coords[v]: BLACK if val else WHITE

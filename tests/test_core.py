@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import fixture_text
 from oredango import textio
 from oredango.core import (BLACK, WHITE, BoardError, Coloring, ColoringError,
                            Skewer, build_board, check_coloring, triple_index)
+from oredango.core import Constraint
 from oracles import random_board
 
 PUBLISHED_BLACKS = [(1, 2), (1, 4), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3),
@@ -186,3 +188,49 @@ def test_deleting_an_empty_row_preserves_the_report():
         after = [(v.rule, v.observed, v.cells)
                  for v in check_coloring(smaller, moved)]
         assert before == after
+
+
+def listed_constraints(board):
+    """Rules A-D as Constraint entries, built straight from clue_of and
+    triple_index in the checker's report order."""
+    found = []
+    for k, skewer in enumerate(board.skewers, start=1):
+        clue = board.clue_of(skewer)
+        if clue is not None:
+            found.append(Constraint("A", k, None, skewer.path, clue, clue))
+    index = triple_index(board)
+    for rule, lines in (("B", index.skewer_triples), ("C", index.row_triples),
+                        ("D", index.col_triples)):
+        for i, windows in enumerate(lines, start=1):
+            found.extend(Constraint(rule, i, w, cells, 1, 2)
+                         for w, cells in enumerate(windows, start=1))
+    return tuple(found)
+
+
+def test_constraints_match_clues_and_windows():
+    rng = random.Random(2024)
+    for _ in range(120):
+        board = random_board(rng)
+        assert board.constraints == listed_constraints(board)
+
+
+def test_sample_constraints_in_report_order(sample_board):
+    rules = [con.rule for con in sample_board.constraints]
+    assert rules == ["A"] * 4 + ["B"] * 7 + ["C"] * 5 + ["D"] * 5
+    first = sample_board.constraints[0]
+    assert first == Constraint("A", 1, None, sample_board.skewers[0].path, 3, 3)
+
+
+def test_constraints_are_cached(sample_board):
+    assert sample_board.constraints is sample_board.constraints
+
+
+def test_cached_constraints_leave_equality_alone():
+    rng = random.Random(7)
+    for _ in range(20):
+        board = random_board(rng)
+        board.constraints
+        fresh = dataclasses.replace(board)
+        assert "constraints" not in vars(fresh)
+        assert board == fresh and not board != fresh
+        assert fresh.constraints == board.constraints
