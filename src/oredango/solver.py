@@ -2,15 +2,19 @@
 
 `Board.constraints` lists every puzzle rule as a two-sided bound on a
 black count, so the search below works on a single constraint shape,
-`sum of 0-1 variables within [lo, hi]`, with counting propagation over
-those bounds and depth-first search on the first unassigned circle in
-row-major order, black before white.  Solutions come out in lexicographic
-order (black sorts before white) and node counts are reproducible.
+`sum of 0-1 variables within [lo, hi]`.  `BoundedCounts` propagates those
+bounds with slack counters and searches depth-first on the first
+unassigned circle in row-major order, black before white.  Each conflict
+teaches it a clause (a nogood implied by the bounds) and lets it jump back
+over decisions that played no part, but never over one whose subtree has
+already produced a solution.  So solutions still come out in
+lexicographic order (black sorts before white), each once, and node
+counts are reproducible.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -42,133 +46,358 @@ class BoundedCounts:
     """Feasibility search for 0-1 variables under two-sided count bounds.
 
     Constraints are (members, lo, hi) groups over variable indices with
-    unit weights.  A group whose black count already meets `hi` forces its
-    open members to 0; one that needs every open member to reach `lo`
-    forces them to 1; leaving the window entirely is a conflict.
+    unit weights.  Each group keeps two slack counters: the zeros it can
+    still take (`len(members) - lo`) and the ones it can still take (`hi`).
+    Setting a variable spends one unit of the matching counter in every
+    group that holds it; a counter at 0 forces the group's open members to
+    the other value, and one below 0 is a conflict.
+
     Branching always takes the lowest-index open variable, value 1 first,
-    so enumeration order and node counts are deterministic.
+    so depth-first order is lexicographic order (1 before 0).  A conflict
+    is analysed to its first unique implication point (1-UIP, as in GRASP,
+    Marques-Silva & Sakallah 1999) and yields a learned clause with two
+    watched literals.  Explanations are computed lazily, during analysis:
+    a variable forced by a group is explained by the members holding the
+    opposite value that sit earlier on the trail; one forced by a learned
+    clause, by the clause's other literals.  Learned clauses follow from
+    the groups, so they cut only subtrees without solutions, and solutions
+    are still accepted by the groups alone: a clause propagation missed
+    costs pruning, never correctness.
+
+    After learning, the search backjumps to the clause's asserting level,
+    but never above the deepest decision whose subtree has already emitted
+    a solution.  Every decision undone thus covered only ground without
+    solutions, so searching that region again under the newly implied
+    literal repeats no solution, and since the clause holds in every
+    solution it skips none: solutions, their order and the cap semantics
+    are those of plain depth-first search.  When the bound is the conflict
+    level itself, the search flips or pops decisions chronologically.
     """
 
     def __init__(self, nvars: int,
                  groups: Iterable[tuple[Sequence[int], int, int]]):
         self.nvars = nvars
-        self.groups = [(tuple(members), lo, hi) for members, lo, hi in groups]
+        self._members: list[tuple[int, ...]] = []
+        # initial slack: zeros and ones each group can take
+        self._zeros: list[int] = []
+        self._ones: list[int] = []
         self.touching: list[list[int]] = [[] for _ in range(nvars)]
-        for gi in range(len(self.groups)):
-            for v in self.groups[gi][0]:
-                self.touching[v].append(gi)
+        self._feasible = True
+        add_members = self._members.append
+        add_zeros = self._zeros.append
+        add_ones = self._ones.append
+        touching = self.touching
+        g = 0
+        for members, lo, hi in groups:
+            members = tuple(members)
+            add_members(members)
+            add_zeros(len(members) - lo)
+            add_ones(hi)
+            if lo > hi or hi < 0 or len(members) < lo:
+                self._feasible = False
+            for v in members:
+                touching[v].append(g)
+            g += 1
+
+    # A literal is the int 2 * var + value; its negation is `lit ^ 1`.
 
     def _start(self) -> None:
+        # Propagation state, shared by `deduce` and `run`.  `reason[v]` is
+        # the group index or clause that forced v (None for decisions and
+        # seeds) and `pos[v]` its trail position; both are written as v is
+        # set and read only when a conflict is explained.
         self._value = [-1] * self.nvars
-        self._ones = [0] * len(self.groups)
-        self._open = [len(g[0]) for g in self.groups]
+        self._reason: list = [None] * self.nvars
+        self._pos = [0] * self.nvars
+        self._left = (self._zeros[:], self._ones[:])
         self._trail: list[int] = []
-        self._nodes = 0
+        self._qhead = 0   # trail entries before this have been propagated
+        # Per literal, the learned clauses to visit once it is true (they
+        # watch its negation); None until the first one.
+        self._watches: list[list[list[int]] | None] | None = None
 
-    def _attach(self, v: int, val: int) -> None:
-        self._value[v] = val
-        self._trail.append(v)
-        for gi in self.touching[v]:
-            self._open[gi] -= 1
-            self._ones[gi] += val
+    def _set(self, lit: int, why) -> None:
+        v = lit >> 1
+        self._value[v] = lit & 1
+        self._reason[v] = why
+        self._pos[v] = len(self._trail)
+        self._trail.append(lit)
+
+    def _propagate(self):
+        """Propagate the trail entries not yet propagated; None, or the
+        conflicting group index or clause."""
+        value = self._value
+        reason = self._reason
+        pos = self._pos
+        trail = self._trail
+        push = trail.append
+        touching = self.touching
+        members = self._members
+        left = self._left
+        watches = self._watches
+        q = self._qhead
+        end = len(trail)
+        bad = -1
+        while q < end:
+            lit = trail[q]
+            q += 1
+            val = lit & 1
+            spend = left[val]
+            for g in touching[lit >> 1]:
+                c = spend[g] - 1
+                spend[g] = c
+                if c <= 0:
+                    if c:
+                        bad = g
+                        continue
+                    forced = val ^ 1
+                    for w in members[g]:
+                        if value[w] < 0:
+                            value[w] = forced
+                            reason[w] = g
+                            pos[w] = end
+                            end += 1
+                            push(w + w + forced)
+            if bad >= 0:
+                self._qhead = q
+                return bad
+            if watches is None:
+                continue
+            ws = watches[lit]
+            if ws is None:
+                continue
+            # Learned clauses watching the literal just made false.
+            false = lit ^ 1
+            i = j = 0
+            nw = len(ws)
+            while i < nw:
+                clause = ws[i]
+                i += 1
+                first = clause[0]
+                if first == false:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false
+                fv = value[first >> 1]
+                if fv == first & 1:
+                    ws[j] = clause
+                    j += 1
+                    continue
+                for k in range(2, len(clause)):
+                    other = clause[k]
+                    if value[other >> 1] != other & 1 ^ 1:
+                        clause[1] = other
+                        clause[k] = false
+                        self._watch(other ^ 1, clause)
+                        break
+                else:
+                    ws[j] = clause
+                    j += 1
+                    if fv >= 0:
+                        ws[j:] = ws[i:]
+                        self._qhead = q
+                        return clause
+                    w = first >> 1
+                    value[w] = first & 1
+                    reason[w] = clause
+                    pos[w] = end
+                    end += 1
+                    push(first)
+            del ws[j:]
+        self._qhead = q
+        return None
+
+    def _watch(self, lit: int, clause: list[int]) -> None:
+        ws = self._watches[lit]
+        if ws is None:
+            self._watches[lit] = [clause]
+        else:
+            ws.append(clause)
 
     def _rewind(self, mark: int) -> None:
-        while len(self._trail) > mark:
-            v = self._trail.pop()
-            val = self._value[v]
-            self._value[v] = -1
-            for gi in self.touching[v]:
-                self._open[gi] += 1
-                self._ones[gi] -= val
+        """Undo the trail back to `mark`, refunding the counters of the
+        entries already propagated.
 
-    def _absorb(self, queue: list[tuple[int, int]]) -> bool:
-        """Apply queued assignments plus whatever they force; False on conflict."""
+        `mark` is a decision's trail position, which propagation has always
+        passed.
+        """
+        trail = self._trail
         value = self._value
-        qi = 0
-        while qi < len(queue):
-            v, val = queue[qi]
-            qi += 1
-            if value[v] != -1:
-                if value[v] != val:
-                    return False
-                continue
-            self._attach(v, val)
-            for gi in self.touching[v]:
-                members, lo, hi = self.groups[gi]
-                ones = self._ones[gi]
-                open_ = self._open[gi]
-                if ones > hi or ones + open_ < lo:
-                    return False
-                if open_:
-                    if ones == hi:
-                        for w in members:
-                            if value[w] == -1:
-                                queue.append((w, 0))
-                    elif ones + open_ == lo:
-                        for w in members:
-                            if value[w] == -1:
-                                queue.append((w, 1))
-        return True
+        touching = self.touching
+        left = self._left
+        for i in range(mark, self._qhead):
+            lit = trail[i]
+            value[lit >> 1] = -1
+            refund = left[lit & 1]
+            for g in touching[lit >> 1]:
+                refund[g] += 1
+        for i in range(self._qhead, len(trail)):
+            value[trail[i] >> 1] = -1
+        del trail[mark:]
+        self._qhead = mark
 
     def _root(self, seed: Iterable[tuple[int, int]]) -> bool:
-        queue: list[tuple[int, int]] = []
-        for members, lo, hi in self.groups:
-            if lo > hi or hi < 0 or len(members) < lo:
+        if not self._feasible:
+            return False
+        value = self._value
+        zeros, ones = self._left
+        for g in range(len(zeros)):
+            if not (zeros[g] and ones[g]):
+                forced = 1 if ones[g] else 0
+                for w in self._members[g]:
+                    if value[w] < 0:
+                        self._set(w + w + forced, g)
+        for v, val in seed:
+            if value[v] < 0:
+                self._set(v + v + val, None)
+            elif value[v] != val:
                 return False
-            if members and hi == 0:
-                queue.extend((w, 0) for w in members)
-            elif members and lo == len(members):
-                queue.extend((w, 1) for w in members)
-        queue.extend(seed)
-        return self._absorb(queue)
+        return self._propagate() is None
 
-    def _next_branch(self, frames: list[list]) -> int:
-        # Rewind to the deepest decision whose 0 branch is untried and take
-        # it; -1 once every frame is spent.
-        while frames:
-            v, mark, tried_zero = frames.pop()
-            self._rewind(mark)
-            if not tried_zero:
-                frames.append([v, mark, True])
-                self._nodes += 1
-                if self._absorb([(v, 0)]):
-                    return v
-        return -1
+    def _holding(self, g: int, val: int, before: int) -> list[int]:
+        """Members of group g set to `val` before trail position `before`,
+        as literals."""
+        value = self._value
+        pos = self._pos
+        return [w + w + val for w in self._members[g]
+                if value[w] == val and pos[w] < before]
+
+    def _explain(self, v: int) -> list[int]:
+        """True literals, earlier on the trail, that forced variable v."""
+        why = self._reason[v]
+        if why.__class__ is list:
+            return [lit ^ 1 for lit in why if lit >> 1 != v]
+        return self._holding(why, self._value[v] ^ 1, self._pos[v])
+
+    def _analyze(self, conflict, marks: list[int]) -> tuple[list[int], int]:
+        """1-UIP clause for the conflict and its asserting level.
+
+        The clause's first literal is the one it asserts, its second the
+        one set deepest among the rest.
+        """
+        pos = self._pos
+        trail = self._trail
+        seen = self._seen
+        if conflict.__class__ is list:
+            lits = [lit ^ 1 for lit in conflict]
+        else:
+            # the group's members holding the overspent value, up to the
+            # entry whose propagation overspent it
+            lits = self._holding(conflict, trail[self._qhead - 1] & 1,
+                                 self._qhead)
+        root = marks[0]
+        here = marks[-1]
+        lower: list[int] = []
+        pending = 0
+        i = len(trail) - 1
+        while True:
+            for lit in lits:
+                v = lit >> 1
+                if not seen[v] and pos[v] >= root:
+                    seen[v] = 1
+                    if pos[v] >= here:
+                        pending += 1
+                    else:
+                        lower.append(lit)
+            while not seen[trail[i] >> 1]:
+                i -= 1
+            uip = trail[i]
+            v = uip >> 1
+            seen[v] = 0
+            i -= 1
+            pending -= 1
+            if not pending:
+                break
+            lits = self._explain(v)
+        clause = [uip ^ 1]
+        deepest = -1
+        for lit in lower:
+            v = lit >> 1
+            seen[v] = 0
+            if pos[v] > deepest:
+                deepest = pos[v]
+                clause.insert(1, lit ^ 1)
+            else:
+                clause.append(lit ^ 1)
+        return clause, bisect_right(marks, deepest)
 
     def run(self, cap: int | None = None,
             seed: Iterable[tuple[int, int]] = ()) -> tuple[bool, list[tuple[int, ...]], int]:
         """Enumerate satisfying assignments in lexicographic order.
 
         Returns (exhausted, assignments, nodes); `exhausted` is False when
-        the cap stopped the search before the space was covered.
+        the cap stopped the search before the space was covered, and
+        `nodes` counts the decisions tried, flips to 0 included.
         """
         self._start()
         if not self._root(seed):
             return True, [], 0
-        found: list[tuple[int, ...]] = []
-        frames: list[list] = []
+        nvars = self.nvars
+        self._watches = [None] * (2 * nvars)
+        self._seen = bytearray(nvars)
         value = self._value
+        trail = self._trail
+        marks: list[int] = []   # trail position of each level's decision
+        sols: list[int] = []    # solutions found when that decision was made
+        found: list[tuple[int, ...]] = []
+        nodes = 0
         cur = 0
+        conflict = None
         while True:
-            while cur < self.nvars and value[cur] != -1:
-                cur += 1
-            if cur == self.nvars:
+            if conflict is None:
+                while cur < nvars and value[cur] >= 0:
+                    cur += 1
+                if cur < nvars:
+                    nodes += 1
+                    marks.append(len(trail))
+                    sols.append(len(found))
+                    self._set(cur + cur + 1, None)
+                    conflict = self._propagate()
+                    continue
                 found.append(tuple(value))
                 if cap is not None and len(found) >= cap:
-                    return False, found, self._nodes
-                cur = self._next_branch(frames)
-                if cur < 0:
-                    return True, found, self._nodes
-                continue
-            frames.append([cur, len(self._trail), False])
-            self._nodes += 1
-            if not self._absorb([(cur, 1)]):
-                cur = self._next_branch(frames)
-                if cur < 0:
-                    return True, found, self._nodes
+                    return False, found, nodes
+            elif not marks:
+                return True, found, nodes
+            else:
+                clause, level = self._analyze(conflict, marks)
+                # never undo a decision whose subtree emitted a solution
+                level = max(level, bisect_left(sols, len(found)))
+                if len(clause) > 1:
+                    self._watch(clause[0] ^ 1, clause)
+                    self._watch(clause[1] ^ 1, clause)
+                if level < len(marks):
+                    mark = marks[level]
+                    cur = trail[mark] >> 1
+                    self._rewind(mark)
+                    del marks[level:]
+                    del sols[level:]
+                    self._set(clause[0], clause)
+                    conflict = self._propagate()
+                    continue
+            # Chronological step: flip the deepest decision still at 1,
+            # dropping the spent ones below it.
+            while marks:
+                mark = marks[-1]
+                lit = trail[mark]
+                self._rewind(mark)
+                if lit & 1:
+                    nodes += 1
+                    cur = lit >> 1
+                    self._set(lit ^ 1, None)
+                    break
+                marks.pop()
+                sols.pop()
+            else:
+                return True, found, nodes
+            conflict = self._propagate()
 
     def deduce(self, seed: Iterable[tuple[int, int]]) -> dict[int, int] | None:
-        """Fixpoint of counting propagation from seeded values, or None."""
+        """Fixpoint of counting propagation from seeded values, or None.
+
+        Allocates no learning state: watches, learned clauses and decision
+        frames exist only within `run`.
+        """
         self._start()
         if not self._root(seed):
             return None

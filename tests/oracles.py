@@ -121,3 +121,24 @@ def random_instance(rng: random.Random, max_vars: int = 4,
                                  for v in chosen))
         if {abs(l) for cl in clauses for l in cl} == set(range(1, n + 1)):
             return reduction.one_in_three(n, clauses)
+
+
+def sized_instance(rng: random.Random, nvars: int, nclauses: int,
+                   planted: bool = False) -> reduction.OneInThreeInstance:
+    """1-in-3 instance with exactly `nvars` variables, all used.
+
+    Uniform signs by default; with `planted`, every clause has exactly one
+    literal true under a hidden random assignment, so it is satisfiable.
+    """
+    hidden = [rng.randint(0, 1) for _ in range(nvars)]
+    while True:
+        clauses = []
+        for _ in range(nclauses):
+            chosen = rng.sample(range(1, nvars + 1), 3)
+            true_at = rng.randrange(3)
+            clauses.append(tuple(
+                (v if hidden[v - 1] == (k == true_at) else -v) if planted
+                else (v if rng.random() < 0.5 else -v)
+                for k, v in zip(range(3), chosen)))
+        if {abs(l) for cl in clauses for l in cl} == set(range(1, nvars + 1)):
+            return reduction.one_in_three(nvars, clauses)

@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oredango import solver, textio
+from oredango import ilp, reduction, solver, textio
 from oredango.core import BLACK, WHITE, ColoringError, build_board, check_coloring
 from oredango.solver import BoundedCounts, SolveStatus
 from conftest import fixture_text
-from oracles import mask_oracle, random_board
+from oracles import mask_oracle, random_board, sized_instance
 
 SAMPLE_GRIDS = [
     "WBBW\nW.B.\nBW.B\nBBWB\n",
@@ -28,7 +29,7 @@ def test_sample_solution_set_is_frozen(sample_board):
     out = solver.enumerate(sample_board, cap=100)
     assert out.status is SolveStatus.SAT
     assert grids(out, sample_board) == SAMPLE_GRIDS
-    assert out.nodes == 24
+    assert out.nodes == 18
     for coloring in out.solutions:
         assert check_coloring(sample_board, coloring).ok
 
@@ -154,16 +155,40 @@ def test_propagate_is_sound_on_random_boards():
     assert checked >= 20
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_propagate_is_sound_for_partial_seeds(data):
+    board = random_board(random.Random(data.draw(st.integers(0, 10**9))))
+    coords = board.circle_coords()
+    chosen = data.draw(st.lists(st.sampled_from(coords), unique=True)
+                       if coords else st.just([]))
+    partial = {c: data.draw(st.sampled_from((BLACK, WHITE))) for c in chosen}
+    extending = [sol for sol in mask_oracle(board)
+                 if all(sol[c] == color for c, color in partial.items())]
+    forced = solver.propagate(board, partial)
+    if forced is None:
+        assert extending == []
+        return
+    assert forced.items() >= partial.items()
+    for coord, color in forced.items():
+        assert all(sol[coord] == color for sol in extending)
+
+
 def test_enumerate_matches_brute_force():
+    # Every cap must see the oracle's lexicographic prefix: conflicts after
+    # an emitted solution are where a backjump could repeat or skip one.
     rng = random.Random(61917)
-    for _ in range(120):
+    for _ in range(220):
         board = random_board(rng)
-        expected = mask_oracle(board)
-        out = solver.enumerate(board, cap=1 << 17)
-        assert out.status is not SolveStatus.CAP_REACHED
-        assert set(out.solutions) == set(expected)
-        keys = [lex_key(board, s) for s in out.solutions]
-        assert keys == sorted(keys)
+        expected = sorted(mask_oracle(board), key=lambda s: lex_key(board, s))
+        for cap in (1, 2, 5, 1 << 17):
+            out = solver.enumerate(board, cap=cap)
+            assert list(out.solutions) == expected[:cap]
+            if cap <= len(expected):
+                assert out.status is SolveStatus.CAP_REACHED
+            else:
+                assert out.status is (SolveStatus.SAT if expected
+                                      else SolveStatus.UNSAT)
 
 
 def test_another_solution_walks_the_solution_list(pair_board):
@@ -208,3 +233,33 @@ def test_engine_deduce_contradicting_seed():
     engine = BoundedCounts(1, [])
     assert engine.deduce([(0, 1), (0, 0)]) is None
     assert engine.deduce([(0, 1), (0, 1)]) == {0: 1}
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_reduced_enumeration_follows_the_assignments(planted):
+    rng = random.Random(5150 + planted)
+    for _ in range(25):
+        nvars = rng.randint(3, 6)
+        instance = sized_instance(rng, nvars, rng.randint((nvars + 2) // 3, 6),
+                                  planted)
+        reduced = reduction.reduce(instance)
+        board = reduced.board
+        expected = sorted((reduction.assignment_to_coloring(reduced, a)
+                           for a in reduction.enumerate_assignments(instance)),
+                          key=lambda s: lex_key(board, s))
+        assert list(solver.enumerate(board, cap=1 << 20).solutions) == expected
+        model = ilp.build_model(board)
+        assert [ilp.model_to_coloring(model, point, board)
+                for point in ilp.enumerate_model(model)] == expected
+
+
+@pytest.mark.parametrize("seed, planted", [(1, False), (4, True)])
+def test_learning_keeps_n14_search_small(seed, planted):
+    # Chronological search took 114218 (seed 1) and 90765 (seed 4) nodes
+    # on these boards, learning 2434 and 3666.
+    instance = sized_instance(random.Random(seed), 14, 14, planted)
+    out = solver.solve(reduction.reduce(instance).board)
+    sat = bool(reduction.enumerate_assignments(instance))
+    assert out.status is (SolveStatus.SAT if sat else SolveStatus.UNSAT)
+    assert sat == planted
+    assert out.nodes <= 10_000
