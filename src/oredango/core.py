@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 BLACK = "B"
@@ -114,21 +116,25 @@ class Board:
         windows of rule B by skewer, C by row and D by column.
 
         Built once per board; the checker, the search engine and the 0-1
-        model all read it.
+        model all read it.  Lines are grouped from the circles themselves,
+        so the cost grows with the circle count, not with the header: a
+        row, column or skewer with fewer than three circles costs nothing.
         """
         found = []
         for k, skewer in enumerate(self.skewers, start=1):
             clue = self.clue_of(skewer)
             if clue is not None:
                 found.append(Constraint("A", k, None, skewer.path, clue, clue))
-        index = triple_index(self)
-        groups = (("B", index.skewer_triples),
-                  ("C", index.row_triples),
-                  ("D", index.col_triples))
-        for rule, lines in groups:
-            for i, windows in enumerate(lines, start=1):
-                for w, cells in enumerate(windows, start=1):
-                    found.append(Constraint(rule, i, w, cells, 1, 2))
+        by_row = self.circle_coords()
+        # stable, so each column keeps its circles top to bottom
+        by_col = sorted(by_row, key=itemgetter(1))
+        lines = chain(
+            (("B", k, s.path) for k, s in enumerate(self.skewers, start=1)),
+            (("C", r, list(line)) for r, line in groupby(by_row, itemgetter(0))),
+            (("D", c, list(line)) for c, line in groupby(by_col, itemgetter(1))))
+        for rule, i, line in lines:
+            for w, cells in enumerate(_windows(line), start=1):
+                found.append(Constraint(rule, i, w, cells, 1, 2))
         return tuple(found)
 
 
@@ -319,7 +325,14 @@ def _windows(line: Sequence[Coord]) -> tuple[Triple, ...]:
 
 
 def triple_index(board: Board) -> TripleIndex:
-    """Collect the three-circle windows checked by rules B, C, and D."""
+    """Collect the three-circle windows checked by rules B, C, and D.
+
+    A reference listing, kept for callers that want windows by line
+    number: by its shape it builds one list per header row and column, so
+    it costs O(rows + cols) however few circles there are.  No library
+    path calls it; `Board.constraints` groups the same windows from the
+    circles alone.
+    """
     by_row: list[list[Coord]] = [[] for _ in range(board.rows)]
     by_col: list[list[Coord]] = [[] for _ in range(board.cols)]
     for r, c in board.circle_coords():

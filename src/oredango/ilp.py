@@ -9,14 +9,13 @@ point is a puzzle solution and vice versa.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import BLACK, WHITE, Board, Coloring, Coord
 from .solver import BoundedCounts
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     """Unit-coefficient sum over named variables, bounded two-sided.
 
     `lower` and `upper` may coincide (an equality) and either may be None

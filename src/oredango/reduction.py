@@ -135,6 +135,15 @@ def _col(lit: Literal) -> int:
     return 4 * lit.var - 2 + (1 if lit.negated else 0)
 
 
+def _unused(used: set[int], n: int, shown: int = 10) -> str:
+    """The first `shown` variables of 1..n outside `used`, then a count of
+    the rest.  The scan stops after at most len(used) + shown values."""
+    gaps = (v for v in range(1, n + 1) if v not in used)
+    first = list(itertools.islice(gaps, shown))
+    rest = n - len(used) - len(first)
+    return f"{first}" + (f" (+{rest} more)" if rest else "")
+
+
 def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     """Translate an instance into a board with matching solutions.
 
@@ -151,9 +160,8 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     if not instance.clauses:
         raise ReductionError("an instance needs at least one clause")
     used = {lit.var for clause in instance.clauses for lit in clause}
-    missing = [v for v in range(1, n + 1) if v not in used]
-    if missing:
-        raise ReductionError(f"variables in no clause: {missing}")
+    if len(used) != n:
+        raise ReductionError(f"variables in no clause: {_unused(used, n)}")
 
     clauses = list(instance.clauses)
     doubled = len(clauses) == 1

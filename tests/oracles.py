@@ -110,9 +110,12 @@ def random_board(rng: random.Random, max_circles: int = 16,
 
 def random_instance(rng: random.Random, max_vars: int = 4,
                     max_clauses: int = 4) -> reduction.OneInThreeInstance:
-    """Random 1-in-3 instance with every variable used by some clause."""
-    n = rng.randint(3, max_vars)
-    m = rng.randint(2, max_clauses)
+    """Random 1-in-3 instance with every variable used by some clause.
+
+    m clauses use at most 3m variables, so m is drawn from ceil(n/3) up.
+    """
+    n = rng.randint(3, min(max_vars, 3 * max_clauses))
+    m = rng.randint(max(2, -(-n // 3)), max_clauses)
     while True:
         clauses = []
         for _ in range(m):

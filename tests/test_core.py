@@ -1,10 +1,12 @@
 import dataclasses
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from conftest import fixture_text
-from oredango import textio
+from oredango import ilp, solver, textio
 from oredango.core import (BLACK, WHITE, BoardError, Coloring, ColoringError,
                            Skewer, build_board, check_coloring, triple_index)
 from oredango.core import Constraint
@@ -234,3 +236,48 @@ def test_cached_constraints_leave_equality_alone():
         assert "constraints" not in vars(fresh)
         assert board == fresh and not board != fresh
         assert fresh.constraints == board.constraints
+
+
+def shifted(board, rows, cols, dr, dc):
+    """`board` moved down by dr and right by dc inside a rows x cols header."""
+    def move(coord):
+        return (coord[0] + dr, coord[1] + dc)
+    circles = [move(c) + ((circle.clue,) if circle.clue is not None else ())
+               for c, circle in board.circles.items()]
+    paths = [[move(c) for c in s.path] for s in board.skewers if s.size > 1]
+    return build_board(rows, cols, circles, paths)
+
+
+def test_constraints_skip_empty_lines_in_wide_headers():
+    rng = random.Random(4)
+    for _ in range(200):
+        board = random_board(rng, max_circles=20, max_side=7)
+        rows = rng.randint(board.rows, 5000)
+        cols = rng.randint(board.cols, 5000)
+        moved = shifted(board, rows, cols, rng.randint(0, rows - board.rows),
+                        rng.randint(0, cols - board.cols))
+        assert moved.constraints == listed_constraints(moved)
+
+
+def test_constraints_cost_follows_circles_not_header():
+    side, mid = 10 ** 6, 500_000
+    row = [(mid, mid), (mid, mid + 1), (mid, mid + 2)]
+    col = [(mid, mid), (mid + 1, mid), (mid + 2, mid)]
+    board = build_board(side, side, sorted(set(row + col)))
+    tracemalloc.start()
+    try:
+        found = board.constraints
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert found == (Constraint("C", mid, 1, tuple(row), 1, 2),
+                     Constraint("D", mid, 1, tuple(col), 1, 2))
+
+    start = time.perf_counter()
+    coloring = coloring_of(board, [(mid, mid + 1), (mid + 2, mid)])
+    assert check_coloring(board, coloring).ok
+    assert solver.solve(board).solutions
+    assert solver.propagate(board, {(mid, mid): BLACK}) is not None
+    assert "tr500000_1" in ilp.export_lp(ilp.build_model(board))
+    assert time.perf_counter() - start < 1.0

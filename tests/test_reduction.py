@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -55,6 +56,30 @@ def test_factory_normalizes_and_rejects():
         reduction.one_in_three(3, [(1, -1, 2)])
     with pytest.raises(ReductionError, match="negative"):
         reduction.one_in_three(-1, [])
+
+
+def test_reduce_names_few_unused_variables_in_bounded_time():
+    instance = reduction.one_in_three(3_000_000, [(1, 2, 3)])
+    start = time.perf_counter()
+    with pytest.raises(ReductionError) as caught:
+        reduction.reduce(instance)
+    assert time.perf_counter() - start < 0.1
+    assert str(caught.value) == ("variables in no clause: "
+                                 "[4, 5, 6, 7, 8, 9, 10, 11, 12, 13] "
+                                 "(+2999987 more)")
+    spread = reduction.one_in_three(30, [(2, 9, 30)])
+    with pytest.raises(ReductionError, match=r"clause: \[1, 3, 4, 5, 6, 7, 8, "
+                       r"10, 11, 12\] \(\+17 more\)$"):
+        reduction.reduce(spread)
+
+
+def test_random_instance_returns_when_variables_outnumber_clauses():
+    rng = random.Random(5)
+    for args in ((7, 7), (12, 5)):
+        for _ in range(200):
+            instance = random_instance(rng, *args)
+            used = {lit.var for clause in instance.clauses for lit in clause}
+            assert used == set(range(1, instance.nvars + 1))
 
 
 def test_reduce_rejects_degenerate_instances():
