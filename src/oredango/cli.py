@@ -69,6 +69,13 @@ def _emit(text: str, output: str | None) -> None:
             raise _Fail(2, f"cannot write {output}: {err}") from err
 
 
+def _check_grid(board: core.Board) -> None:
+    try:
+        textio.check_grid_size(board)
+    except core.ColoringError as err:
+        raise _Fail(2, str(err)) from err
+
+
 def _checked_limit(limit: int) -> int:
     if limit < 1:
         raise _Fail(2, "--limit must be at least 1")
@@ -100,6 +107,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             print(len(outcome.solutions))
         return 0 if outcome.solutions else 1
+    _check_grid(board)
     if args.all:
         outcome = solver.enumerate(board, _checked_limit(args.limit))
         if outcome.status is solver.SolveStatus.CAP_REACHED:
@@ -120,6 +128,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_another(args: argparse.Namespace) -> int:
     board = _load_board(args.board)
+    _check_grid(board)
     known = [_load_coloring(path, board) for path in args.solutions]
     try:
         extra = solver.another_solution(board, known)

@@ -5,11 +5,15 @@ black count, so the search below works on a single constraint shape,
 `sum of 0-1 variables within [lo, hi]`.  `BoundedCounts` propagates those
 bounds with slack counters and searches depth-first on the first
 unassigned circle in row-major order, black before white.  Each conflict
-teaches it a clause (a nogood implied by the bounds) and lets it jump back
-over decisions that played no part, but never over one whose subtree has
-already produced a solution.  So solutions still come out in
-lexicographic order (black sorts before white), each once, and node
-counts are reproducible.
+teaches it a clause (a nogood implied by the bounds).  It then backtracks
+chronologically (Nadel & Ryvchin, "Chronological Backtracking", SAT 2018):
+it undoes only the conflict level and asserts the clause at the level
+below, and when a later backtrack removes such an assertion while its
+clause still forces it, it sets it again (re-implication, after Möhle &
+Biere, "Backing Backtracking", SAT 2019).  It never undoes a decision
+whose subtree has already produced a solution.  So solutions still come
+out in lexicographic order (black sorts before white), each once, and
+node counts are reproducible.
 """
 
 from __future__ import annotations
@@ -64,14 +68,29 @@ class BoundedCounts:
     are still accepted by the groups alone: a clause propagation missed
     costs pruning, never correctness.
 
-    After learning, the search backjumps to the clause's asserting level,
-    but never above the deepest decision whose subtree has already emitted
-    a solution.  Every decision undone thus covered only ground without
-    solutions, so searching that region again under the newly implied
-    literal repeats no solution, and since the clause holds in every
-    solution it skips none: solutions, their order and the cap semantics
-    are those of plain depth-first search.  When the bound is the conflict
-    level itself, the search flips or pops decisions chronologically.
+    After learning, the search undoes only the conflict level and asserts
+    the clause's first literal at the level below, even when the clause's
+    asserting level (that of its deepest other literal) is lower; this
+    chronological backtracking (Nadel & Ryvchin, SAT 2018) keeps the
+    decisions below, which lexicographic branching would otherwise make
+    again one by one.  An assertion made above its asserting level is
+    recorded.  When a later backtrack removes it, the clause's other
+    literals survive, so it is set again from the clause before any new
+    decision (re-implication, after Möhle & Biere, SAT 2019); without
+    that, lost assertions come back only as duplicate learned clauses.
+
+    The conflict level is undone only when its subtree has emitted no
+    solution.  That subtree then covered only ground without solutions,
+    so searching the level below again under the asserted literal repeats
+    no solution, and since the clause holds in every solution it skips
+    none.  Otherwise the level's branch is spent, and the search steps
+    back as plain depth-first search does: it pops the level, re-implies
+    and propagates, then flips the popped decision to 0 if its variable is
+    still open, takes the 0 as given if propagation set it, and pops on
+    if propagation set it to 1 or the 0 branch was the one just spent.
+    Every literal set without a decision is implied by the groups and the
+    decisions still on the trail, so solutions, their order and the cap
+    semantics are those of plain depth-first search.
     """
 
     def __init__(self, nvars: int,
@@ -321,13 +340,53 @@ class BoundedCounts:
                 clause.append(lit ^ 1)
         return clause, bisect_right(marks, deepest)
 
+    def _undo(self, mark: int, top: int):
+        """Undo the top level, whose decision sits at `mark`, and re-imply.
+
+        Each recorded assertion the rewind removed is set again from its
+        clause.  The clause's other literals all survive, since they sit at
+        or below its asserting level and only the level above `top` is
+        undone.  The assertion stays recorded while its asserting level is
+        below `top`.  Returns None, or a clause whose literal was found set
+        the other way.
+        """
+        self._rewind(mark)
+        later = self._later
+        pos = self._pos
+        i = len(later)
+        while i and pos[later[i - 1][0][0] >> 1] >= mark:
+            i -= 1
+        redo = later[i:]
+        del later[i:]
+        conflict = None
+        for clause, level in redo:
+            clash = self._imply(clause, level, top)
+            conflict = conflict or clash
+        return conflict
+
+    def _imply(self, clause: list[int], level: int, top: int):
+        """Set the clause's first literal, which its other literals force
+        from `level` on, while `top` levels stand; record it when `level`
+        is below `top`.  Returns the clause if the literal's variable
+        holds the other value, else None."""
+        lit = clause[0]
+        held = self._value[lit >> 1]
+        if held < 0:
+            self._set(lit, clause)
+            if level < top:
+                self._later.append((clause, level))
+        elif held != lit & 1:
+            return clause
+        return None
+
     def run(self, cap: int | None = None,
             seed: Iterable[tuple[int, int]] = ()) -> tuple[bool, list[tuple[int, ...]], int]:
         """Enumerate satisfying assignments in lexicographic order.
 
         Returns (exhausted, assignments, nodes); `exhausted` is False when
         the cap stopped the search before the space was covered, and
-        `nodes` counts the decisions tried, flips to 0 included.
+        `nodes` counts the decisions tried, flips to 0 included; a 0 that
+        propagation sets after re-implication is not counted as a flip.
         """
         self._start()
         if not self._root(seed):
@@ -335,6 +394,9 @@ class BoundedCounts:
         nvars = self.nvars
         self._watches = [None] * (2 * nvars)
         self._seen = bytearray(nvars)
+        # (clause, asserting level) of each assertion above that level,
+        # in trail order
+        self._later: list[tuple[list[int], int]] = []
         value = self._value
         trail = self._trail
         marks: list[int] = []   # trail position of each level's decision
@@ -361,36 +423,42 @@ class BoundedCounts:
                 return True, found, nodes
             else:
                 clause, level = self._analyze(conflict, marks)
-                # never undo a decision whose subtree emitted a solution
-                level = max(level, bisect_left(sols, len(found)))
                 if len(clause) > 1:
                     self._watch(clause[0] ^ 1, clause)
                     self._watch(clause[1] ^ 1, clause)
-                if level < len(marks):
-                    mark = marks[level]
+                # Undo only the conflict level, unless its subtree emitted
+                # a solution, and assert the clause at the level below.
+                top = len(marks) - 1
+                if sols[top] == len(found):
+                    mark = marks.pop()
+                    sols.pop()
                     cur = trail[mark] >> 1
-                    self._rewind(mark)
-                    del marks[level:]
-                    del sols[level:]
-                    self._set(clause[0], clause)
-                    conflict = self._propagate()
+                    conflict = self._undo(mark, top)
+                    clash = self._imply(clause, level, top)
+                    conflict = conflict or clash or self._propagate()
                     continue
-            # Chronological step: flip the deepest decision still at 1,
-            # dropping the spent ones below it.
+            # Chronological step: the top level is exhausted.  Pop it and
+            # re-imply; its decision is flipped to 0 only if that leaves
+            # the variable open, and popping goes on when the 0 branch is
+            # spent or refuted.
             while marks:
-                mark = marks[-1]
+                mark = marks.pop()
+                tried = sols.pop()
                 lit = trail[mark]
-                self._rewind(mark)
-                if lit & 1:
-                    nodes += 1
-                    cur = lit >> 1
-                    self._set(lit ^ 1, None)
+                cur = lit >> 1
+                conflict = self._undo(mark, len(marks)) or self._propagate()
+                if conflict is not None:
                     break
-                marks.pop()
-                sols.pop()
+                if lit & 1 and value[cur] <= 0:
+                    if value[cur] < 0:
+                        nodes += 1
+                        marks.append(len(trail))
+                        sols.append(tried)
+                        self._set(lit ^ 1, None)
+                        conflict = self._propagate()
+                    break
             else:
                 return True, found, nodes
-            conflict = self._propagate()
 
     def deduce(self, seed: Iterable[tuple[int, int]]) -> dict[int, int] | None:
         """Fixpoint of counting propagation from seeded values, or None.

@@ -230,8 +230,25 @@ def parse_coloring(text: str, board: Board) -> Coloring:
     return Coloring.from_colors(colors)
 
 
+# Largest rows * cols grid `write_coloring` builds.  A `.sol` grid is as
+# large as the board's header, which may declare far more cells than the
+# circles need; `solve --count` and `lp` do not write grids.
+MAX_GRID_CELLS = 10_000_000
+
+
+def check_grid_size(board: Board) -> None:
+    """Raise ColoringError when the board's `.sol` grid would exceed
+    MAX_GRID_CELLS cells."""
+    if board.rows * board.cols > MAX_GRID_CELLS:
+        raise ColoringError(
+            f"a {board.rows} x {board.cols} grid exceeds the .sol limit "
+            f"of {MAX_GRID_CELLS} cells")
+
+
 def write_coloring(coloring: Coloring, board: Board) -> str:
-    """Grid text of a coloring over `board`."""
+    """Grid text of a coloring over `board`; ColoringError beyond
+    MAX_GRID_CELLS cells."""
+    check_grid_size(board)
     if coloring.cells != frozenset(board.circles):
         raise ColoringError("coloring does not cover the board's circles")
     lines = []

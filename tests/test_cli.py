@@ -1,3 +1,5 @@
+import time
+
 from conftest import FIXTURES, fixture_text
 from oredango import cli, ilp, solver, textio
 
@@ -98,6 +100,21 @@ def test_solve_count(capsys, tmp_path):
     assert (code, out) == (0, ">=2\n")
     code, out, _ = run(capsys, "solve", unsat_board(tmp_path), "--count")
     assert (code, out) == (1, "0\n")
+
+
+def test_grid_commands_refuse_huge_headers_before_searching(capsys, tmp_path):
+    path = tmp_path / "wide.odg"
+    path.write_text("rows 200000\ncols 200000\ncircle 1 1\n")
+    limit = ("a 200000 x 200000 grid exceeds the .sol limit "
+             "of 10000000 cells\n")
+    for argv in (["solve", str(path)], ["solve", str(path), "--all"],
+                 ["another", str(path), str(tmp_path / "absent.sol")]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", limit)
+    code, out, err = run(capsys, "solve", str(path), "--count")
+    assert (code, out, err) == (0, "2\n", "")
 
 
 def test_solve_all(capsys, tmp_path):

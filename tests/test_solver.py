@@ -263,3 +263,66 @@ def test_learning_keeps_n14_search_small(seed, planted):
     assert out.status is (SolveStatus.SAT if sat else SolveStatus.UNSAT)
     assert sat == planted
     assert out.nodes <= 10_000
+
+
+def accepted_colorings(reduced, instance):
+    # encodings of the accepted assignments, in the board's lexicographic order
+    return sorted((reduction.assignment_to_coloring(reduced, a)
+                   for a in reduction.enumerate_assignments(instance)),
+                  key=lambda s: lex_key(reduced.board, s))
+
+
+def test_reduced_n10_corpus_solves_to_the_least_encoding():
+    rng = random.Random(8086)
+    for k in range(30):
+        planted = bool(k % 2)
+        instance = sized_instance(rng, 10, 10, planted)
+        reduced = reduction.reduce(instance)
+        board = reduced.board
+        expected = accepted_colorings(reduced, instance)[:1]
+        out = solver.solve(board)
+        assert list(out.solutions) == expected
+        assert out.status is (SolveStatus.SAT if expected
+                              else SolveStatus.UNSAT)
+        model = ilp.build_model(board)
+        point = ilp.solve_model(model)
+        found = (None if point is None
+                 else ilp.model_to_coloring(model, point, board))
+        assert found == (expected[0] if expected else None)
+        if planted:
+            assert expected
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_deeper_reduced_enumeration_keeps_every_cap(planted):
+    # Conflicts after an emitted solution are where chronological
+    # backtracking could repeat or skip one, so every cap is checked.
+    rng = random.Random(6502 + planted)
+    for _ in range(8):
+        nvars = rng.randint(7, 8)
+        instance = sized_instance(rng, nvars, rng.randint(3, 8), planted)
+        reduced = reduction.reduce(instance)
+        expected = accepted_colorings(reduced, instance)
+        for cap in (1, 2, 3, 1 << 20):
+            out = solver.enumerate(reduced.board, cap=cap)
+            assert list(out.solutions) == expected[:cap]
+            if cap <= len(expected):
+                assert out.status is SolveStatus.CAP_REACHED
+            else:
+                assert out.status is (SolveStatus.SAT if expected
+                                      else SolveStatus.UNSAT)
+
+
+def test_reimplication_keeps_n24_search_small():
+    # Backjumping took 57925 nodes on this board; chronological
+    # backtracking without re-implication 35597, with it 3282.
+    instance = sized_instance(random.Random(1), 24, 30, True)
+    reduced = reduction.reduce(instance)
+    out = solver.solve(reduced.board)
+    assert out.status is SolveStatus.SAT
+    assert out.nodes <= 8_000
+    (coloring,) = out.solutions
+    assert check_coloring(reduced.board, coloring).ok
+    values = reduction.coloring_to_assignment(reduced, coloring)
+    assert all(sum(lit.value(values) for lit in clause) == 1
+               for clause in instance.clauses)

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import fixture_text
-from oredango import reduction, textio
-from oredango.core import build_board
+from oredango import reduction, solver, textio
+from oredango.core import ColoringError, build_board
 from oracles import random_board, random_instance
 
 
@@ -109,6 +109,24 @@ def test_coloring_round_trip(sample_board):
     written = textio.write_coloring(coloring, sample_board)
     assert textio.parse_coloring(written, sample_board) == coloring
     assert written == "WBWB\nW.B.\nBB.W\nBWBB\n"
+
+
+def test_write_coloring_refuses_grids_beyond_the_limit(sample_board,
+                                                     monkeypatch):
+    huge = build_board(200_000, 200_000, [(1, 1)])
+    lone = solver.solve(huge).solutions[0]
+    with pytest.raises(ColoringError,
+                       match="200000 x 200000 grid exceeds the .sol limit "
+                             "of 10000000 cells"):
+        textio.write_coloring(lone, huge)
+    coloring = textio.parse_coloring(fixture_text("sample4x4.sol"),
+                                     sample_board)
+    monkeypatch.setattr(textio, "MAX_GRID_CELLS", 16)
+    assert textio.write_coloring(coloring, sample_board) \
+        == "WBWB\nW.B.\nBB.W\nBWBB\n"
+    monkeypatch.setattr(textio, "MAX_GRID_CELLS", 15)
+    with pytest.raises(ColoringError, match="4 x 4 grid"):
+        textio.write_coloring(coloring, sample_board)
 
 
 def test_parse_coloring_diagnostics(sample_board):
