@@ -32,31 +32,15 @@ def _read(path: str) -> str:
         raise _Fail(2, f"cannot read {path}: {err}") from err
 
 
-def _diagnostic_lines(path: str, err: textio.ParseError) -> list[str]:
-    return [f"{path}:{d.line}:{d.column}: {d.message}"
-            for d in err.diagnostics]
-
-
-def _load_board(path: str) -> core.Board:
+def _load(parse, path: str, *context):
+    """Parse the file at `path`; a structural ParseError exits 1, any
+    other unusable text exits 2, each diagnostic as FILE:LINE:COL."""
     try:
-        return textio.parse_board(_read(path))
+        return parse(_read(path), *context)
     except textio.ParseError as err:
         raise _Fail(1 if err.structural else 2,
-                    *_diagnostic_lines(path, err)) from err
-
-
-def _load_coloring(path: str, board: core.Board) -> core.Coloring:
-    try:
-        return textio.parse_coloring(_read(path), board)
-    except textio.ParseError as err:
-        raise _Fail(2, *_diagnostic_lines(path, err)) from err
-
-
-def _load_instance(path: str) -> reduction.OneInThreeInstance:
-    try:
-        return textio.parse_one_in_three(_read(path))
-    except textio.ParseError as err:
-        raise _Fail(2, *_diagnostic_lines(path, err)) from err
+                    *(f"{path}:{d.line}:{d.column}: {d.message}"
+                      for d in err.diagnostics)) from err
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -76,22 +60,16 @@ def _check_grid(board: core.Board) -> None:
         raise _Fail(2, str(err)) from err
 
 
-def _checked_limit(limit: int) -> int:
-    if limit < 1:
-        raise _Fail(2, "--limit must be at least 1")
-    return limit
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    board = _load_board(args.board)
+    board = _load(textio.parse_board, args.board)
     print(f"OK rows={board.rows} cols={board.cols} "
           f"circles={len(board.circles)} skewers={len(board.skewers)}")
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    board = _load_board(args.board)
-    coloring = _load_coloring(args.solution, board)
+    board = _load(textio.parse_board, args.board)
+    coloring = _load(textio.parse_coloring, args.solution, board)
     report = core.check_coloring(board, coloring)
     for violation in report:
         print(violation.describe())
@@ -99,37 +77,35 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    board = _load_board(args.board)
+    board = _load(textio.parse_board, args.board)
+    if not args.count:
+        _check_grid(board)
+    if not (args.count or args.all):
+        outcome = solver.solve(board)
+    else:
+        try:
+            outcome = solver.enumerate(board, args.limit)
+        except ValueError as err:
+            raise _Fail(2, "--limit must be at least 1") from err
+    capped = outcome.status is solver.SolveStatus.CAP_REACHED
     if args.count:
-        outcome = solver.enumerate(board, _checked_limit(args.limit))
-        if outcome.status is solver.SolveStatus.CAP_REACHED:
-            print(f">={args.limit}")
-        else:
-            print(len(outcome.solutions))
+        print(f">={args.limit}" if capped else len(outcome.solutions))
         return 0 if outcome.solutions else 1
-    _check_grid(board)
-    if args.all:
-        outcome = solver.enumerate(board, _checked_limit(args.limit))
-        if outcome.status is solver.SolveStatus.CAP_REACHED:
-            print(f"stopped at --limit {args.limit}", file=sys.stderr)
-        if not outcome.solutions:
-            print("UNSAT")
-            return 1
-        grids = [textio.write_coloring(c, board) for c in outcome.solutions]
-        sys.stdout.write("\n".join(grids))
-        return 0
-    outcome = solver.solve(board)
+    if capped:
+        print(f"stopped at --limit {args.limit}", file=sys.stderr)
     if not outcome.solutions:
         print("UNSAT")
         return 1
-    sys.stdout.write(textio.write_coloring(outcome.solutions[0], board))
+    sys.stdout.write("\n".join(textio.write_coloring(c, board)
+                               for c in outcome.solutions))
     return 0
 
 
 def _cmd_another(args: argparse.Namespace) -> int:
-    board = _load_board(args.board)
+    board = _load(textio.parse_board, args.board)
     _check_grid(board)
-    known = [_load_coloring(path, board) for path in args.solutions]
+    known = [_load(textio.parse_coloring, path, board)
+             for path in args.solutions]
     try:
         extra = solver.another_solution(board, known)
     except ValueError as err:
@@ -142,33 +118,22 @@ def _cmd_another(args: argparse.Namespace) -> int:
 
 
 def _cmd_lp(args: argparse.Namespace) -> int:
-    board = _load_board(args.board)
+    board = _load(textio.parse_board, args.board)
     _emit(ilp.export_lp(ilp.build_model(board)), args.output)
     return 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.cnf)
-    try:
-        reduced = reduction.reduce(instance)
-    except reduction.ReductionError as err:
-        raise _Fail(2, str(err)) from err
+    reduced = reduction.reduce(_load(textio.parse_one_in_three, args.cnf))
     _emit(textio.write_board(reduced.board), args.output)
     if args.map:
-        try:
-            Path(args.map).write_text(
-                reduction.format_reduction_map(reduced))
-        except OSError as err:
-            raise _Fail(2, f"cannot write {args.map}: {err}") from err
+        _emit(reduction.format_reduction_map(reduced), args.map)
     return 0
 
 
 def _cmd_verify_reduction(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.cnf)
-    try:
-        result = reduction.verify_reduction(instance)
-    except reduction.ReductionError as err:
-        raise _Fail(2, str(err)) from err
+    result = reduction.verify_reduction(
+        _load(textio.parse_one_in_three, args.cnf))
     word = "PASS" if result.ok else "FAIL"
     print(f"{word} puzzle={result.puzzle_solutions} "
           f"assignments={result.assignments}")
@@ -253,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
         for line in fail.messages:
             print(line, file=sys.stderr)
         code = fail.code
+    except reduction.ReductionError as err:
+        print(err, file=sys.stderr)
+        code = 2
     finally:
         if getattr(args, "time", False):
             elapsed = (time.perf_counter() - start) * 1000.0

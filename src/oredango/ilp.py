@@ -61,22 +61,27 @@ def build_model(board: Board) -> LinearModel:
     return LinearModel(variables, constraints, tuple(1 for _ in variables))
 
 
-def _sum_of(terms: tuple[str, ...]) -> str:
-    return " + ".join(terms)
+def _objective(model: LinearModel) -> str:
+    text = ""
+    for (name, _), weight in zip(model.variables, model.objective):
+        if weight:
+            scale = "" if abs(weight) == 1 else f"{abs(weight)} "
+            text += f" {'-' if weight < 0 else '+'} {scale}{name}"
+    return text.removeprefix(" +")
 
 
 def export_lp(model: LinearModel) -> str:
     """Serialize a model as deterministic LP text, LF line endings.
 
-    An equality becomes one `=` row under its own name; a two-sided range
-    becomes a `>=` row suffixed `_lo` and a `<=` row suffixed `_hi`.
+    The objective lists each variable of nonzero weight, a weight of 1 as
+    the bare name.  An equality becomes one `=` row under its own name; a
+    two-sided range becomes a `>=` row suffixed `_lo` and a `<=` row
+    suffixed `_hi`.
     """
-    lines = ["Minimize"]
+    lines = ["Minimize", " obj:" + _objective(model), "Subject To"]
     names = [name for name, _ in model.variables]
-    lines.append((" obj: " + _sum_of(tuple(names))) if names else " obj:")
-    lines.append("Subject To")
     for con in model.constraints:
-        body = _sum_of(con.terms)
+        body = " + ".join(con.terms)
         if con.lower is not None and con.lower == con.upper:
             lines.append(f" {con.name}: {body} = {con.lower}")
             continue
@@ -122,7 +127,8 @@ def solve_model(model: LinearModel) -> dict[str, int] | None:
 
 
 def enumerate_model(model: LinearModel, cap: int | None = None) -> list[dict[str, int]]:
-    """All feasible points (up to `cap`) in the solver's enumeration order."""
+    """All feasible points (up to `cap`) in the solver's enumeration order;
+    a cap below 1 raises ValueError."""
     names, engine = _model_engine(model)
     _, found, _ = engine.run(cap=cap)
     return [{names[i]: values[i] for i in range(len(names))}

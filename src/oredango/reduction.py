@@ -54,6 +54,10 @@ class Literal:
     var: int
     negated: bool = False
 
+    def __post_init__(self) -> None:
+        if self.var < 1:
+            raise ReductionError(f"variable {self.var} is below 1")
+
     def complement(self) -> "Literal":
         return Literal(self.var, not self.negated)
 
@@ -75,16 +79,27 @@ class OneInThreeInstance:
     clauses: tuple[Clause, ...]
 
 
-def _check_clause(pos: int, literals: Sequence[Literal], nvars: int) -> None:
-    if len(literals) != 3:
-        raise ReductionError(f"clause {pos} needs exactly three literals")
-    for lit in literals:
-        if not 1 <= lit.var <= nvars:
-            raise ReductionError(
-                f"clause {pos} uses variable {lit.var}, beyond {nvars}")
-    if len({lit.var for lit in literals}) != 3:
-        raise ReductionError(f"clause {pos} uses a variable twice, not three "
-                             "distinct ones")
+def clause_findings(clause: Sequence[int], nvars: int) -> list[tuple[int, str]]:
+    """Every way a clause of signed literals breaks the 1-in-3 contract
+    over variables 1..nvars, as (literal position from 0, message)."""
+    if len(clause) != 3:
+        return [(0, f"three literals needed, found {len(clause)}")]
+    found = []
+    for k, lit in enumerate(clause):
+        if lit == 0:
+            found.append((k, "zero literal (variables count from 1)"))
+        elif abs(lit) > nvars:
+            found.append((k, f"literal {lit} exceeds the {nvars} declared "
+                             f"variables (variable {abs(lit)} is beyond {nvars})"))
+    if not found and len({abs(lit) for lit in clause}) != 3:
+        found.append((0, "same variable twice, not three distinct variables"))
+    return found
+
+
+def _check_clause(pos: int, clause: Sequence[int], nvars: int) -> None:
+    findings = clause_findings(clause, nvars)
+    if findings:
+        raise ReductionError(f"clause {pos}: {findings[0][1]}")
 
 
 def one_in_three(nvars: int,
@@ -94,17 +109,10 @@ def one_in_three(nvars: int,
         raise ReductionError("variable count cannot be negative")
     normalized: list[Clause] = []
     for pos, raw in enumerate(clauses, start=1):
-        literals = []
-        for item in raw:
-            if isinstance(item, Literal):
-                literals.append(item)
-            else:
-                value = int(item)
-                if value == 0:
-                    raise ReductionError(f"clause {pos} holds a zero literal")
-                literals.append(Literal(abs(value), value < 0))
-        _check_clause(pos, literals, nvars)
-        normalized.append(tuple(sorted(literals)))
+        ints = [item.to_int() if isinstance(item, Literal) else int(item)
+                for item in raw]
+        _check_clause(pos, ints, nvars)
+        normalized.append(tuple(sorted(Literal(abs(v), v < 0) for v in ints)))
     return OneInThreeInstance(nvars, tuple(normalized))
 
 
@@ -153,7 +161,7 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     distinct variables, or variables in no clause.
     """
     for pos, clause in enumerate(instance.clauses, start=1):
-        _check_clause(pos, clause, instance.nvars)
+        _check_clause(pos, [lit.to_int() for lit in clause], instance.nvars)
     n = instance.nvars
     if n < 1:
         raise ReductionError("an instance needs at least one variable")

@@ -387,7 +387,10 @@ class BoundedCounts:
         the cap stopped the search before the space was covered, and
         `nodes` counts the decisions tried, flips to 0 included; a 0 that
         propagation sets after re-implication is not counted as a flip.
+        A cap below 1 raises ValueError.
         """
+        if cap is not None and cap < 1:
+            raise ValueError("cap must be at least 1")
         self._start()
         if not self._root(seed):
             return True, [], 0
@@ -526,9 +529,8 @@ def enumerate(board: Board, cap: int) -> SolveOutcome:
 
     Status is CAP_REACHED when the cap cut the search short, otherwise SAT
     or UNSAT; `nodes` counts decision attempts, reproducible run to run.
+    A cap below 1 raises ValueError.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     coords, engine = board_engine(board)
     exhausted, found, nodes = engine.run(cap=cap)
     if not exhausted:

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .core import (BLACK, WHITE, Board, BoardError, Coloring, ColoringError,
                    Coord, build_board)
-from .reduction import OneInThreeInstance, one_in_three
+from .reduction import OneInThreeInstance, clause_findings, one_in_three
 
 _TOKEN = re.compile(r"\S+")
 
@@ -290,42 +290,20 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
     clauses: list[list[int]] = []
     for lineno, raw in body:
         tokens = _tokens(raw)
-        values = []
-        bad = False
-        for token, column in tokens:
-            value = _as_int(token)
-            if value is None:
-                diags.append(ParseDiagnostic(
-                    lineno, column, f"not an integer: `{token}`"))
-                bad = True
-                break
-            values.append(value)
-        if bad:
+        values = [_as_int(token) for token, _ in tokens]
+        if None in values:
+            token, column = tokens[values.index(None)]
+            diags.append(ParseDiagnostic(
+                lineno, column, f"not an integer: `{token}`"))
             continue
         if len(values) != 4 or values[3] != 0:
             diags.append(ParseDiagnostic(
                 lineno, tokens[0][1],
                 "clause line is three literals and a closing 0"))
             continue
-        literals = values[:3]
-        ok = True
-        for k, lit in enumerate(literals):
-            if lit == 0:
-                diags.append(ParseDiagnostic(
-                    lineno, tokens[k][1], "zero literal inside a clause"))
-                ok = False
-            elif abs(lit) > nvars:
-                diags.append(ParseDiagnostic(
-                    lineno, tokens[k][1],
-                    f"literal {lit} exceeds the {nvars} declared variables"))
-                ok = False
-        if ok and len({abs(lit) for lit in literals}) != 3:
-            diags.append(ParseDiagnostic(
-                lineno, tokens[0][1],
-                "clause must cover three distinct variables"))
-            ok = False
-        if ok:
-            clauses.append(literals)
+        diags += [ParseDiagnostic(lineno, tokens[k][1], message)
+                  for k, message in clause_findings(values[:3], nvars)]
+        clauses.append(values[:3])
 
     if diags:
         raise ParseError(diags)

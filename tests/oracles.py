@@ -145,3 +145,65 @@ def sized_instance(rng: random.Random, nvars: int, nclauses: int,
                 for k, v in zip(range(3), chosen)))
         if {abs(l) for cl in clauses for l in cl} == set(range(1, nvars + 1)):
             return reduction.one_in_three(nvars, clauses)
+
+
+def _lp_terms(tokens: list[str]) -> dict[str, int]:
+    """Coefficients of an LP-format sum such as `a + 2 b - c`."""
+    coefs: dict[str, int] = {}
+    sign, scale = 1, 1
+    for token in tokens:
+        if token in ("+", "-"):
+            sign = -1 if token == "-" else 1
+        elif token.isdigit():
+            scale = int(token)
+        else:
+            coefs[token] = coefs.get(token, 0) + sign * scale
+            sign, scale = 1, 1
+    return coefs
+
+
+def highs_point(lp_text: str) -> dict[str, int] | None:
+    """Optimal 0-1 point of an LP text, or None when it is infeasible.
+
+    Independent of the package: reads back the text `ilp.export_lp`
+    writes (objective, `=`/`>=`/`<=` rows, Binaries section) and solves
+    it with scipy's HiGHS `milp`, which the caller must have importable.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    section, objective, rows, names = None, {}, [], []
+    for line in lp_text.splitlines():
+        if not line.startswith(" "):
+            section = line
+            continue
+        if section == "Binaries":
+            names += line.split()
+            continue
+        _, body = line.split(":", 1)
+        tokens = body.split()
+        if section == "Minimize":
+            objective = _lp_terms(tokens)
+        else:
+            *lhs, op, rhs = tokens
+            low, high = {"=": (int(rhs), int(rhs)), ">=": (int(rhs), np.inf),
+                         "<=": (-np.inf, int(rhs))}[op]
+            rows.append((_lp_terms(lhs), low, high))
+    if not names:   # milp needs a variable; the empty point is the only one
+        return {} if all(lo <= 0 <= hi for _, lo, hi in rows) else None
+    column = {name: j for j, name in enumerate(names)}
+    entries = [(i, column[name], coef) for i, (terms, _, _) in enumerate(rows)
+               for name, coef in terms.items()]
+    r, c, v = zip(*entries) if entries else ((), (), ())
+    matrix = coo_array((v, (r, c)), shape=(len(rows), len(names)))
+    cost = np.zeros(len(names))
+    for name, coef in objective.items():
+        cost[column[name]] = coef
+    constraints = [LinearConstraint(matrix.tocsr(), [lo for _, lo, _ in rows],
+                                    [hi for _, _, hi in rows])] if rows else []
+    res = milp(cost, constraints=constraints, integrality=np.ones(len(names)),
+               bounds=Bounds(0, 1))
+    assert res.status in (0, 2), res.message
+    if res.status == 2:
+        return None
+    return {name: int(round(res.x[j])) for name, j in column.items()}

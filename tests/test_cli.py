@@ -1,5 +1,7 @@
 import time
 
+import pytest
+
 from conftest import FIXTURES, fixture_text
 from oredango import cli, ilp, solver, textio
 
@@ -234,3 +236,31 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "solve")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "solve", SAMPLE, "--limit", "abc")[0] == 2
+
+
+@pytest.mark.parametrize("clause,column,message", [
+    ("1 2 4 0", 5, "literal 4 exceeds the 3 declared variables"),
+    ("1 0 2 0", 3, "zero literal"),
+    ("3  -3 2 0", 1, "three distinct variables"),
+])
+@pytest.mark.parametrize("command", ["reduce", "verify-reduction"])
+def test_bad_clause_exits_two_at_the_offending_literal(capsys, tmp_path,
+                                                       command, clause,
+                                                       column, message):
+    cnf = tmp_path / "bad.c13"
+    cnf.write_text(f"p 1in3 3 2\n1 2 3 0\n# note\n{clause}\n")
+    code, out, err = run(capsys, command, str(cnf))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{cnf}:4:{column}: ")
+    assert message in err and err.count("\n") == 1
+
+
+def test_writes_into_a_missing_directory_exit_two(capsys, tmp_path):
+    missing = tmp_path / "absent" / "out.txt"
+    code, _, err = run(capsys, "lp", PAIR, "-o", str(missing))
+    assert code == 2
+    assert err.startswith(f"cannot write {missing}: ")
+    code, _, err = run(capsys, "reduce", CNF, "--map", str(missing))
+    assert code == 2
+    assert err.startswith(f"cannot write {missing}: ")
+    assert not missing.parent.exists()

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from oredango import ilp, solver, textio
+from oredango import ilp, reduction, solver, textio
 from oredango.core import build_board, check_coloring
-from oracles import mask_oracle, random_board
+from oracles import highs_point, mask_oracle, random_board, sized_instance
 
 PAIRBLOCK_LP = """\
 Minimize
@@ -152,3 +152,35 @@ def test_model_solutions_equal_brute_force():
         for coloring in colorings:
             assert check_coloring(board, coloring).ok
         assert ilp.export_lp(model) == ilp.export_lp(ilp.build_model(board))
+
+
+@pytest.mark.parametrize("objective,line", [
+    ((0, 2, 0), " obj: 2 b"),
+    ((1, -3, -1), " obj: a - 3 b - c"),
+    ((-1, 0, 1), " obj: - a + c"),
+    ((0, 0, 0), " obj:"),
+])
+def test_export_lp_writes_the_model_objective(objective, line):
+    model = ilp.LinearModel(
+        (("a", (1, 1)), ("b", (1, 2)), ("c", (1, 3))),
+        (ilp.LinearConstraint("up", ("a", "b", "c"), None, 2),), objective)
+    assert ilp.export_lp(model).splitlines()[1] == line
+
+
+def test_highs_reads_the_exported_lp_and_agrees_with_the_solver():
+    pytest.importorskip("scipy")
+    rng = random.Random(8158)
+    boards = [random_board(rng) for _ in range(60)]
+    boards += [reduction.reduce(sized_instance(rng, n, n, planted)).board
+               for n in (5, 6, 8) for planted in (False, True)]
+    feasible = 0
+    for board in boards:
+        model = ilp.build_model(board)
+        point = highs_point(ilp.export_lp(model))
+        outcome = solver.solve(board)
+        assert (point is not None) == bool(outcome.solutions)
+        if point is not None:
+            feasible += 1
+            coloring = ilp.model_to_coloring(model, point, board)
+            assert check_coloring(board, coloring).ok
+    assert 0 < feasible < len(boards)

@@ -82,6 +82,14 @@ def test_cap_must_be_positive(pair_board):
         solver.enumerate(pair_board, cap=0)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_board_and_model_enumeration_refuse_the_same_caps(pair_board, cap):
+    with pytest.raises(ValueError, match="^cap must be at least 1$"):
+        solver.enumerate(pair_board, cap=cap)
+    with pytest.raises(ValueError, match="^cap must be at least 1$"):
+        ilp.enumerate_model(ilp.build_model(pair_board), cap=cap)
+
+
 def test_unsat_three_forced_blacks_in_a_row():
     board = build_board(1, 3, [(1, 1, 1), (1, 2, 1), (1, 3, 1)])
     out = solver.solve(board)
