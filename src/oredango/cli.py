@@ -43,14 +43,35 @@ def _load(parse, path: str, *context):
                       for d in err.diagnostics)) from err
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(output).write_text(text)
-        except OSError as err:
-            raise _Fail(2, f"cannot write {output}: {err}") from err
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path) pair, to stdout where the path is None.
+
+    Every path is opened before any text is written, in append mode, which
+    creates a missing file and changes no existing one.  When one cannot be
+    opened, the files this call created are removed again, so a run that
+    exits 2 leaves none of its outputs behind.
+    """
+    created: list[Path] = []
+    for _, output in outputs:
+        if output is not None:
+            path = Path(output)
+            existed = path.exists()
+            try:
+                path.open("a").close()
+            except OSError as err:
+                for made in created:
+                    made.unlink(missing_ok=True)
+                raise _Fail(2, f"cannot write {output}: {err}") from err
+            if not existed:
+                created.append(path)
+    for text, output in outputs:
+        if output is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                Path(output).write_text(text)
+            except OSError as err:
+                raise _Fail(2, f"cannot write {output}: {err}") from err
 
 
 def _check_grid(board: core.Board) -> None:
@@ -119,15 +140,16 @@ def _cmd_another(args: argparse.Namespace) -> int:
 
 def _cmd_lp(args: argparse.Namespace) -> int:
     board = _load(textio.parse_board, args.board)
-    _emit(ilp.export_lp(ilp.build_model(board)), args.output)
+    _emit((ilp.export_lp(ilp.build_model(board)), args.output))
     return 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     reduced = reduction.reduce(_load(textio.parse_one_in_three, args.cnf))
-    _emit(textio.write_board(reduced.board), args.output)
+    outputs = [(textio.write_board(reduced.board), args.output)]
     if args.map:
-        _emit(reduction.format_reduction_map(reduced), args.map)
+        outputs.append((reduction.format_reduction_map(reduced), args.map))
+    _emit(*outputs)
     return 0
 
 

@@ -117,14 +117,23 @@ class Board:
 
         Built once per board; the checker, the search engine and the 0-1
         model all read it.  Lines are grouped from the circles themselves,
-        so the cost grows with the circle count, not with the header: a
-        row, column or skewer with fewer than three circles costs nothing.
+        so the cost grows with the circle count, not with the header.  A
+        row, column or skewer with fewer than three circles is passed over
+        before any window work, and a loner's clue is read straight from
+        its circle, so boards made mostly of loners and pairs, as reduced
+        boards are, cost little beyond their windows.
         """
+        # Constraint._make without its Python-level length check
+        new = tuple.__new__
+        circles = self.circles
         found = []
+        add = found.append
         for k, skewer in enumerate(self.skewers, start=1):
-            clue = self.clue_of(skewer)
+            path = skewer.path
+            clue = (circles[path[0]].clue if len(path) == 1
+                    else self.clue_of(skewer))
             if clue is not None:
-                found.append(Constraint("A", k, None, skewer.path, clue, clue))
+                add(new(Constraint, ("A", k, None, path, clue, clue)))
         by_row = self.circle_coords()
         # stable, so each column keeps its circles top to bottom
         by_col = sorted(by_row, key=itemgetter(1))
@@ -133,8 +142,10 @@ class Board:
             (("C", r, list(line)) for r, line in groupby(by_row, itemgetter(0))),
             (("D", c, list(line)) for c, line in groupby(by_col, itemgetter(1))))
         for rule, i, line in lines:
-            for w, cells in enumerate(_windows(line), start=1):
-                found.append(Constraint(rule, i, w, cells, 1, 2))
+            if len(line) < 3:
+                continue
+            for w, cells in enumerate(zip(line, line[1:], line[2:]), start=1):
+                add(new(Constraint, (rule, i, w, cells, 1, 2)))
         return tuple(found)
 
 
@@ -252,12 +263,16 @@ def build_board(rows: int, cols: int,
     `circle_list` holds (row, col) or (row, col, clue) entries.  Each entry
     of `skewer_list` is a path over declared circles; circles on no path
     become size-one skewers of their own, appended in row-major order.
-    Raises BoardError when any structural rule fails.
+    Circles with equal clues share one `Circle` value, which is frozen.
+    Raises BoardError when any structural rule fails.  The error names the
+    first fault: circles in input order, then skewer paths in input order,
+    then clues by skewer number.
     """
     if rows < 1 or cols < 1:
         raise BoardError(f"grid must be at least 1x1, got {rows}x{cols}")
 
     circles: dict[Coord, Circle] = {}
+    shared: dict[int | None, Circle] = {}
     for entry in circle_list:
         if len(entry) == 2:
             (r, c), clue = entry, None
@@ -271,13 +286,17 @@ def build_board(rows: int, cols: int,
                              coord=coord)
         if coord in circles:
             raise BoardError(f"circle {coord} declared twice", coord=coord)
-        if clue is not None and clue < 0:
-            raise BoardError(f"negative clue at {coord}", coord=coord)
-        circles[coord] = Circle(clue)
+        circle = shared.get(clue)
+        if circle is None:
+            if clue is not None and clue < 0:
+                raise BoardError(f"negative clue at {coord}", coord=coord)
+            circle = shared[clue] = Circle(clue)
+        circles[coord] = circle
 
     skewers: list[Skewer] = []
     threaded: set[Coord] = set()
     multi: set[Coord] = set()
+    fault: BoardError | None = None
     for k, path in enumerate(skewer_list, start=1):
         coords = _canonical_path(path)
         if not coords:
@@ -301,22 +320,34 @@ def build_board(rows: int, cols: int,
         if len(coords) >= 2:
             skewers.append(Skewer(coords))
             multi.update(coords)
+            if fault is None:
+                fault = _clue_fault(circles, coords, len(skewers))
+    # clue faults wait until every path has passed its structural checks
+    if fault is not None:
+        raise fault
 
     for coord in sorted(circles):
         if coord not in multi:
             skewers.append(Skewer((coord,)))
-
-    for k, skewer in enumerate(skewers, start=1):
-        clued = [c for c in skewer.path if circles[c].clue is not None]
-        if len(clued) > 1:
-            raise BoardError(f"skewer {k} carries two clues",
-                             coord=clued[1], skewer=k)
-        if clued and circles[clued[0]].clue > skewer.size:
-            raise BoardError(
-                f"clue {circles[clued[0]].clue} at {clued[0]} exceeds "
-                f"skewer size {skewer.size}", coord=clued[0], skewer=k)
+            clue = circles[coord].clue
+            if clue is not None and clue > 1:
+                raise _clue_fault(circles, (coord,), len(skewers))
 
     return Board(rows, cols, circles, tuple(skewers))
+
+
+def _clue_fault(circles: Mapping[Coord, Circle], path: tuple[Coord, ...],
+                k: int) -> BoardError | None:
+    """The clue rule that `path`, as skewer k, breaks first, if any."""
+    clued = [c for c in path if circles[c].clue is not None]
+    if len(clued) > 1:
+        return BoardError(f"skewer {k} carries two clues",
+                          coord=clued[1], skewer=k)
+    if clued and circles[clued[0]].clue > len(path):
+        return BoardError(
+            f"clue {circles[clued[0]].clue} at {clued[0]} exceeds "
+            f"skewer size {len(path)}", coord=clued[0], skewer=k)
+    return None
 
 
 def _windows(line: Sequence[Coord]) -> tuple[Triple, ...]:

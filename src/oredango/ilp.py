@@ -99,17 +99,17 @@ def export_lp(model: LinearModel) -> str:
 def _model_engine(model: LinearModel) -> tuple[list[str], BoundedCounts]:
     names = [name for name, _ in model.variables]
     index = {name: i for i, name in enumerate(names)}
-    groups = []
+    members, lows, highs = [], [], []
     for con in model.constraints:
         try:
-            members = [index[t] for t in con.terms]
+            group = [index[t] for t in con.terms]
         except KeyError as err:
             raise ValueError(f"constraint {con.name} uses unknown variable "
                              f"{err.args[0]}") from None
-        lo = con.lower if con.lower is not None else 0
-        hi = con.upper if con.upper is not None else len(members)
-        groups.append((members, lo, hi))
-    return names, BoundedCounts(len(names), groups)
+        members.append(group)
+        lows.append(con.lower if con.lower is not None else 0)
+        highs.append(con.upper if con.upper is not None else len(group))
+    return names, BoundedCounts(len(names), members, lows, highs)
 
 
 def solve_model(model: LinearModel) -> dict[str, int] | None:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, groupby, islice
+from operator import le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .core import (BLACK, WHITE, Board, Coloring, ColoringError, Coord,
@@ -49,9 +51,11 @@ PartialColoring = dict[Coord, str]
 class BoundedCounts:
     """Feasibility search for 0-1 variables under two-sided count bounds.
 
-    Constraints are (members, lo, hi) groups over variable indices with
-    unit weights.  Each group keeps two slack counters: the zeros it can
-    still take (`len(members) - lo`) and the ones it can still take (`hi`).
+    Constraints are groups over variable indices with unit weights, given
+    as three parallel sequences: group g bounds the number of ones among
+    `members[g]` to [`lows[g]`, `highs[g]`].  Each group keeps two slack
+    counters: the zeros it can still take (`len(members[g]) - lows[g]`)
+    and the ones it can still take (`highs[g]`).
     Setting a variable spends one unit of the matching counter in every
     group that holds it; a counter at 0 forces the group's open members to
     the other value, and one below 0 is a conflict.
@@ -93,30 +97,21 @@ class BoundedCounts:
     semantics are those of plain depth-first search.
     """
 
-    def __init__(self, nvars: int,
-                 groups: Iterable[tuple[Sequence[int], int, int]]):
+    def __init__(self, nvars: int, members: Sequence[Sequence[int]],
+                 lows: Sequence[int], highs: Sequence[int]):
         self.nvars = nvars
-        self._members: list[tuple[int, ...]] = []
+        self._members: list[tuple[int, ...]] = list(map(tuple, members))
         # initial slack: zeros and ones each group can take
-        self._zeros: list[int] = []
-        self._ones: list[int] = []
+        self._zeros: list[int] = list(map(sub, map(len, self._members), lows))
+        self._ones: list[int] = list(highs)
+        self._feasible = (min(self._zeros, default=0) >= 0
+                          and min(self._ones, default=0) >= 0
+                          and all(map(le, lows, self._ones)))
         self.touching: list[list[int]] = [[] for _ in range(nvars)]
-        self._feasible = True
-        add_members = self._members.append
-        add_zeros = self._zeros.append
-        add_ones = self._ones.append
         touching = self.touching
-        g = 0
-        for members, lo, hi in groups:
-            members = tuple(members)
-            add_members(members)
-            add_zeros(len(members) - lo)
-            add_ones(hi)
-            if lo > hi or hi < 0 or len(members) < lo:
-                self._feasible = False
-            for v in members:
+        for g, group in zip(range(len(self._members)), self._members):
+            for v in group:
                 touching[v].append(g)
-            g += 1
 
     # A literal is the int 2 * var + value; its negation is `lit ^ 1`.
 
@@ -480,10 +475,19 @@ def board_engine(board: Board) -> tuple[list[Coord], BoundedCounts]:
     """Index a board's circles row-major and wrap `board.constraints` as
     count groups over those indices."""
     coords = board.circle_coords()
-    index = {coord: i for i, coord in zip(range(len(coords)), coords)}
-    groups = (([index[c] for c in con.cells], con.lo, con.hi)
-              for con in board.constraints)
-    return coords, BoundedCounts(len(coords), groups)
+    index = dict(zip(coords, range(len(coords))))
+    cons = board.constraints
+    cells = [con.cells for con in cons]
+    # Look every cell up in one pass, then cut the indices back into
+    # groups: zip over `size` references to one iterator takes `size` at a
+    # time, once per run of equal-sized entries (none is empty).
+    flat = map(index.__getitem__, chain.from_iterable(cells))
+    members: list[tuple[int, ...]] = []
+    for size, run in groupby(map(len, cells)):
+        members += islice(zip(*[flat] * size), len(list(run)))
+    return coords, BoundedCounts(len(coords), members,
+                                 [con.lo for con in cons],
+                                 [con.hi for con in cons])
 
 
 def _as_coloring(coords: Sequence[Coord], values: Sequence[int]) -> Coloring:

@@ -1,8 +1,27 @@
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from oredango import textio
+
+# One profile for the property tests: the same examples on every run and
+# no example database.  A test's own `@settings` overrides what it names.
+settings.register_profile("repeatable", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("repeatable")
+
+
+def pytest_configure(config):
+    # Even without a database, hypothesis caches the constants it reads
+    # from the tested source in its home directory, `.hypothesis/` by
+    # default; point it at a directory removed when the run ends.
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
+
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

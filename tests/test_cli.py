@@ -264,3 +264,24 @@ def test_writes_into_a_missing_directory_exit_two(capsys, tmp_path):
     assert code == 2
     assert err.startswith(f"cannot write {missing}: ")
     assert not missing.parent.exists()
+
+
+def test_reduce_writes_no_board_when_the_map_cannot_be_written(capsys,
+                                                               tmp_path):
+    board_path = tmp_path / "board.odg"
+    missing = tmp_path / "missing" / "x.map"
+    code, out, err = run(capsys, "reduce", CNF, "-o", str(board_path),
+                         "--map", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cannot write {missing}: ")
+    assert not board_path.exists()
+
+    board_path.write_text("kept\n")
+    code, _, _ = run(capsys, "reduce", CNF, "-o", str(board_path),
+                     "--map", str(missing))
+    assert code == 2
+    assert board_path.read_text() == "kept\n"
+
+    code, out, _ = run(capsys, "reduce", CNF, "--map", str(missing))
+    assert (code, out) == (2, "")

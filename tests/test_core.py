@@ -6,11 +6,11 @@ import tracemalloc
 import pytest
 
 from conftest import fixture_text
-from oredango import ilp, solver, textio
+from oredango import ilp, reduction, solver, textio
 from oredango.core import (BLACK, WHITE, BoardError, Coloring, ColoringError,
                            Skewer, build_board, check_coloring, triple_index)
 from oredango.core import Constraint
-from oracles import random_board
+from oracles import random_board, sized_instance
 
 PUBLISHED_BLACKS = [(1, 2), (1, 4), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3),
                     (4, 4)]
@@ -64,6 +64,35 @@ def test_explicit_loner_path_joins_the_appendix():
 def test_build_board_rejections(rows, cols, circles, skewers, fragment):
     with pytest.raises(BoardError, match=fragment):
         build_board(rows, cols, circles, skewers)
+
+
+@pytest.mark.parametrize("rows,cols,circles,skewers,message,coord,skewer", [
+    # explicit skewers come before loners, whatever their row-major place
+    (2, 3, [(1, 1, 2), (2, 2, 1), (2, 3, 1)], [[(2, 3), (2, 2)]],
+     "skewer 1 carries two clues", (2, 3), 1),
+    # loners in row-major order, not in declaration order
+    (1, 3, [(1, 3, 2), (1, 1, 2)], [],
+     "clue 2 at (1, 1) exceeds skewer size 1", (1, 1), 1),
+    # a one-circle path becomes a loner numbered in the appendix
+    (2, 3, [(1, 1), (1, 2), (1, 3), (2, 2, 2), (2, 3, 2)],
+     [[(2, 2)], [(1, 1), (1, 2)]],
+     "clue 2 at (2, 2) exceeds skewer size 1", (2, 2), 3),
+    # a structural fault on a later skewer beats a clue fault on an earlier
+    (3, 3, [(1, 1, 1), (1, 2, 1), (3, 1), (3, 3)],
+     [[(1, 1), (1, 2)], [(3, 1), (3, 3)]],
+     "skewer 2 jumps from (3,1) to (3,3)", (3, 3), 2),
+    (2, 3, [(1, 1, 2), (2, 1), (2, 2, 3)], [[(2, 1), (2, 2)]],
+     "clue 3 at (2, 2) exceeds skewer size 2", (2, 2), 1),
+    (2, 3, [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 3, 3)],
+     [[(2, 1), (2, 2)], [(1, 2), (1, 1)]],
+     "skewer 1 carries two clues", (2, 2), 1),
+])
+def test_build_board_reports_the_first_clue_fault(rows, cols, circles, skewers,
+                                                  message, coord, skewer):
+    with pytest.raises(BoardError) as caught:
+        build_board(rows, cols, circles, skewers)
+    assert (str(caught.value), caught.value.coord, caught.value.skewer) == (
+        message, coord, skewer)
 
 
 def test_triple_index_windows(sample_board):
@@ -214,6 +243,19 @@ def test_constraints_match_clues_and_windows():
     for _ in range(120):
         board = random_board(rng)
         assert board.constraints == listed_constraints(board)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_constraints_match_clues_and_windows_on_reduced_boards(planted):
+    # loners and two-circle skewers only, unlike most random boards
+    rng = random.Random(808 + planted)
+    for _ in range(12):
+        nvars = rng.randint(3, 8)
+        instance = sized_instance(rng, nvars, rng.randint(nvars // 2 + 1, 8),
+                                  planted)
+        board = reduction.reduce(instance).board
+        assert board.constraints == listed_constraints(board)
+        assert {type(con) for con in board.constraints} == {Constraint}
 
 
 def test_sample_constraints_in_report_order(sample_board):

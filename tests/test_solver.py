@@ -222,7 +222,7 @@ def test_another_solution_rejects_non_solutions(pair_board):
 
 
 def test_engine_enumerates_free_variables_in_order():
-    engine = BoundedCounts(2, [])
+    engine = BoundedCounts(2, [], [], [])
     exhausted, found, _ = engine.run()
     assert exhausted
     assert found == [(1, 1), (1, 0), (0, 1), (0, 0)]
@@ -232,13 +232,13 @@ def test_engine_enumerates_free_variables_in_order():
 
 
 def test_engine_rejects_impossible_bounds():
-    engine = BoundedCounts(2, [((0, 1), 2, 1)])
+    engine = BoundedCounts(2, [(0, 1)], [2], [1])
     assert engine.run() == (True, [], 0)
     assert engine.deduce([]) is None
 
 
 def test_engine_deduce_contradicting_seed():
-    engine = BoundedCounts(1, [])
+    engine = BoundedCounts(1, [], [], [])
     assert engine.deduce([(0, 1), (0, 0)]) is None
     assert engine.deduce([(0, 1), (0, 1)]) == {0: 1}
 
