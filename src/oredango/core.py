@@ -98,9 +98,15 @@ class Board:
     circles: Mapping[Coord, Circle]
     skewers: tuple[Skewer, ...]
 
+    @cached_property
+    def row_major(self) -> tuple[Coord, ...]:
+        """All circle coordinates in row-major order, sorted once per board
+        (`build_board` hands over the order its loner pass sorted)."""
+        return tuple(sorted(self.circles))
+
     def circle_coords(self) -> list[Coord]:
-        """All circle coordinates in row-major order."""
-        return sorted(self.circles)
+        """All circle coordinates in row-major order, as a fresh list."""
+        return list(self.row_major)
 
     def clue_of(self, skewer: Skewer) -> int | None:
         """The clue carried by a skewer, or None when unclued."""
@@ -134,7 +140,7 @@ class Board:
                     else self.clue_of(skewer))
             if clue is not None:
                 add(new(Constraint, ("A", k, None, path, clue, clue)))
-        by_row = self.circle_coords()
+        by_row = self.row_major
         # stable, so each column keeps its circles top to bottom
         by_col = sorted(by_row, key=itemgetter(1))
         lines = chain(
@@ -326,14 +332,18 @@ def build_board(rows: int, cols: int,
     if fault is not None:
         raise fault
 
-    for coord in sorted(circles):
+    row_major = tuple(sorted(circles))
+    for coord in row_major:
         if coord not in multi:
             skewers.append(Skewer((coord,)))
             clue = circles[coord].clue
             if clue is not None and clue > 1:
                 raise _clue_fault(circles, (coord,), len(skewers))
 
-    return Board(rows, cols, circles, tuple(skewers))
+    board = Board(rows, cols, circles, tuple(skewers))
+    # fill the `row_major` cache with the order sorted above
+    board.__dict__["row_major"] = row_major
+    return board
 
 
 def _clue_fault(circles: Mapping[Coord, Circle], path: tuple[Coord, ...],
@@ -366,7 +376,7 @@ def triple_index(board: Board) -> TripleIndex:
     """
     by_row: list[list[Coord]] = [[] for _ in range(board.rows)]
     by_col: list[list[Coord]] = [[] for _ in range(board.cols)]
-    for r, c in board.circle_coords():
+    for r, c in board.row_major:
         by_row[r - 1].append((r, c))
         by_col[c - 1].append((r, c))
     for line in by_col:
@@ -390,11 +400,11 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
         raise ColoringError(
             f"coloring domain mismatch: missing {missing}, extra {extra}")
 
+    is_black = coloring.blacks.__contains__
     found: list[Violation] = []
-    for con in board.constraints:
-        blacks = coloring.count_black(con.cells)
-        if not con.lo <= blacks <= con.hi:
-            found.append(Violation(con.rule, con.index, con.window, con.cells,
-                                   blacks, con.lo, con.hi))
+    for rule, index, window, cells, lo, hi in board.constraints:
+        blacks = sum(map(is_black, cells))
+        if not lo <= blacks <= hi:
+            found.append(Violation(rule, index, window, cells, blacks, lo, hi))
 
     return ViolationReport(tuple(found))

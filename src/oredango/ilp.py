@@ -41,8 +41,7 @@ def variable_name(coord: Coord) -> str:
     return f"x_{coord[0]}_{coord[1]}"
 
 
-_ROW_NAME = {"A": "sk{0.index}", "B": "tb{0.index}_{0.window}",
-             "C": "tr{0.index}_{0.window}", "D": "tc{0.index}_{0.window}"}
+_ROW_PREFIX = {"A": "sk", "B": "tb", "C": "tr", "D": "tc"}
 
 
 def build_model(board: Board) -> LinearModel:
@@ -52,22 +51,28 @@ def build_model(board: Board) -> LinearModel:
     `sk<r>` for rule A on skewer r and `tb`, `tr` or `tc<i>_<w>` for
     window w of rule B, C or D on line i.
     """
-    names = {c: variable_name(c) for c in board.circle_coords()}
+    coords = board.row_major
+    names = dict(zip(coords, map(variable_name, coords)))
+    name_of = names.__getitem__
+    # LinearConstraint._make without its Python-level length check
+    new = tuple.__new__
     constraints = tuple(
-        LinearConstraint(_ROW_NAME[con.rule].format(con),
-                         tuple(names[c] for c in con.cells), con.lo, con.hi)
-        for con in board.constraints)
-    variables = tuple((name, c) for c, name in names.items())
-    return LinearModel(variables, constraints, tuple(1 for _ in variables))
+        new(LinearConstraint, (
+            f"{_ROW_PREFIX[rule]}{index}" if window is None
+            else f"{_ROW_PREFIX[rule]}{index}_{window}",
+            tuple(map(name_of, cells)), lo, hi))
+        for rule, index, window, cells, lo, hi in board.constraints)
+    variables = tuple(zip(names.values(), coords))
+    return LinearModel(variables, constraints, (1,) * len(variables))
 
 
 def _objective(model: LinearModel) -> str:
-    text = ""
+    terms = []
     for (name, _), weight in zip(model.variables, model.objective):
         if weight:
             scale = "" if abs(weight) == 1 else f"{abs(weight)} "
-            text += f" {'-' if weight < 0 else '+'} {scale}{name}"
-    return text.removeprefix(" +")
+            terms.append(f" {'-' if weight < 0 else '+'} {scale}{name}")
+    return "".join(terms).removeprefix(" +")
 
 
 def export_lp(model: LinearModel) -> str:

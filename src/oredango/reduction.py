@@ -351,7 +351,7 @@ def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
     for k, skewer in enumerate(board.skewers, start=1):
         if skewer.size > 2:
             problems.append(f"skewer {k} threads {skewer.size} circles")
-    for coord in sorted(board.circles):
+    for coord in board.row_major:
         clue = board.circles[coord].clue
         if clue is not None and clue not in (0, 1):
             problems.append(f"clue {clue} at {coord} is outside {{0, 1}}")

@@ -471,10 +471,10 @@ class BoundedCounts:
                 if self._value[v] != -1}
 
 
-def board_engine(board: Board) -> tuple[list[Coord], BoundedCounts]:
+def board_engine(board: Board) -> tuple[tuple[Coord, ...], BoundedCounts]:
     """Index a board's circles row-major and wrap `board.constraints` as
     count groups over those indices."""
-    coords = board.circle_coords()
+    coords = board.row_major
     index = dict(zip(coords, range(len(coords))))
     cons = board.constraints
     cells = [con.cells for con in cons]

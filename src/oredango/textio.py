@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator
 
 from .core import (BLACK, WHITE, Board, BoardError, Coloring, ColoringError,
@@ -59,8 +61,11 @@ def _significant(text: str) -> Iterator[tuple[int, str]]:
         yield lineno, raw
 
 
-def _tokens(raw: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw)]
+def _columns(raw: str) -> list[int]:
+    """The 1-based column of each token of `raw.split()`, which splits
+    where `_TOKEN` does.  Readers split every line and locate its tokens
+    only on a line that a diagnostic names."""
+    return [m.start() + 1 for m in _TOKEN.finditer(raw)]
 
 
 def _as_int(token: str) -> int | None:
@@ -75,25 +80,26 @@ def parse_board(text: str) -> Board:
     diags: list[ParseDiagnostic] = []
     headers: dict[str, int] = {}
     pending = ["rows", "cols"]
-    circles: list[tuple] = []
+    circles: list[tuple[int, ...]] = []
     circle_line: dict[Coord, int] = {}
-    declared: set[Coord] = set()
     skewers: list[list[Coord]] = []
     skewer_line: list[int] = []
 
     for lineno, raw in _significant(text):
-        tokens = _tokens(raw)
-        keyword, kcol = tokens[0]
+        tokens = raw.split()
+        keyword = tokens[0]
         if pending:
             want = pending[0]
             if keyword != want:
                 diags.append(ParseDiagnostic(
-                    lineno, kcol, f"expected `{want} <count>` header"))
+                    lineno, _columns(raw)[0],
+                    f"expected `{want} <count>` header"))
                 raise ParseError(diags)
-            count = _as_int(tokens[1][0]) if len(tokens) == 2 else None
+            count = _as_int(tokens[1]) if len(tokens) == 2 else None
             if count is None:
                 diags.append(ParseDiagnostic(
-                    lineno, kcol, f"`{want}` header takes one integer"))
+                    lineno, _columns(raw)[0],
+                    f"`{want}` header takes one integer"))
                 raise ParseError(diags)
             headers[want] = count
             pending.pop(0)
@@ -102,62 +108,50 @@ def parse_board(text: str) -> Board:
         if keyword == "circle":
             if len(tokens) not in (3, 4):
                 diags.append(ParseDiagnostic(
-                    lineno, kcol, "circle takes `circle <row> <col> [clue]`"))
+                    lineno, _columns(raw)[0],
+                    "circle takes `circle <row> <col> [clue]`"))
                 continue
-            values = []
-            bad = False
-            for token, column in tokens[1:]:
-                value = _as_int(token)
-                if value is None:
-                    diags.append(ParseDiagnostic(
-                        lineno, column, f"not an integer: `{token}`"))
-                    bad = True
-                values.append(value)
-            if bad:
+            try:
+                values = tuple(map(int, tokens[1:]))
+            except ValueError:
+                diags += [ParseDiagnostic(lineno, column,
+                                          f"not an integer: `{token}`")
+                          for token, column in zip(tokens[1:],
+                                                   _columns(raw)[1:])
+                          if _as_int(token) is None]
                 continue
-            coord = (values[0], values[1])
-            if coord in declared:
+            coord = values[:2]
+            if coord in circle_line:
                 diags.append(ParseDiagnostic(
-                    lineno, kcol, f"circle {coord} already declared"))
+                    lineno, _columns(raw)[0],
+                    f"circle {coord} already declared"))
                 continue
-            declared.add(coord)
             circle_line[coord] = lineno
-            circles.append(tuple(values))
+            circles.append(values)
         elif keyword == "skewer":
             pairs = tokens[1:]
             if len(pairs) < 4 or len(pairs) % 2:
                 diags.append(ParseDiagnostic(
-                    lineno, kcol,
+                    lineno, _columns(raw)[0],
                     "skewer takes two or more `<row> <col>` pairs"))
                 continue
-            path: list[Coord] = []
-            bad = False
-            for k in range(0, len(pairs), 2):
-                row = _as_int(pairs[k][0])
-                col = _as_int(pairs[k + 1][0])
-                if row is None or col is None:
-                    token, column = pairs[k] if row is None else pairs[k + 1]
-                    diags.append(ParseDiagnostic(
-                        lineno, column, f"not an integer: `{token}`"))
-                    bad = True
+            try:
+                flat = list(map(int, pairs))
+            except ValueError:
+                flat = None
+            if flat is not None:
+                path = list(zip(flat[::2], flat[1::2]))
+                if all(map(circle_line.__contains__, path)):
+                    skewers.append(path)
+                    skewer_line.append(lineno)
                     continue
-                coord = (row, col)
-                if coord not in declared:
-                    diags.append(ParseDiagnostic(
-                        lineno, pairs[k][1],
-                        f"skewer visits undeclared circle {coord}"))
-                    bad = True
-                path.append(coord)
-            if bad:
-                continue
-            skewers.append(path)
-            skewer_line.append(lineno)
+            diags += _skewer_faults(lineno, raw, pairs, circle_line)
         elif keyword in ("rows", "cols"):
             diags.append(ParseDiagnostic(
-                lineno, kcol, f"duplicate `{keyword}` header"))
+                lineno, _columns(raw)[0], f"duplicate `{keyword}` header"))
         else:
             diags.append(ParseDiagnostic(
-                lineno, kcol, f"unknown directive `{keyword}`"))
+                lineno, _columns(raw)[0], f"unknown directive `{keyword}`"))
 
     if pending:
         diags.append(ParseDiagnostic(
@@ -177,11 +171,30 @@ def parse_board(text: str) -> Board:
                                           structural=True)]) from err
 
 
+def _skewer_faults(lineno: int, raw: str, pairs: list[str],
+                   declared: dict[Coord, int]) -> list[ParseDiagnostic]:
+    """Diagnostics of a faulty skewer line, pair by pair: the first
+    non-integer of a pair, else an undeclared circle at its row token."""
+    columns = _columns(raw)
+    found = []
+    for k in range(0, len(pairs), 2):
+        row, col = _as_int(pairs[k]), _as_int(pairs[k + 1])
+        if row is None or col is None:
+            bad = k if row is None else k + 1
+            found.append(ParseDiagnostic(
+                lineno, columns[bad + 1], f"not an integer: `{pairs[bad]}`"))
+        elif (row, col) not in declared:
+            found.append(ParseDiagnostic(
+                lineno, columns[k + 1],
+                f"skewer visits undeclared circle {(row, col)}"))
+    return found
+
+
 def write_board(board: Board) -> str:
     """Canonical board text: headers, circles row-major, then the
     multi-circle skewers in stored order."""
     lines = [f"rows {board.rows}", f"cols {board.cols}"]
-    for coord in board.circle_coords():
+    for coord in board.row_major:
         clue = board.circles[coord].clue
         suffix = "" if clue is None else f" {clue}"
         lines.append(f"circle {coord[0]} {coord[1]}{suffix}")
@@ -192,15 +205,27 @@ def write_board(board: Board) -> str:
     return "\n".join(lines) + "\n"
 
 
+# With W read as B, a valid grid row equals its board row's shape: B at
+# each circle, `.` elsewhere.
+_SHAPE = str.maketrans(WHITE, BLACK)
+
+
 def parse_coloring(text: str, board: Board) -> Coloring:
-    """Read a coloring grid for `board`; `.` only off circles, B/W on them."""
+    """Read a coloring grid for `board`; `.` only off circles, B/W on them.
+
+    A row is read whole when it has the board's shape; a row that does
+    not is scanned cell by cell for its diagnostics.
+    """
     diags: list[ParseDiagnostic] = []
     rows = list(_significant(text))
     if len(rows) != board.rows:
         last = rows[-1][0] if rows else 0
         raise ParseError([ParseDiagnostic(
             last, 0, f"expected {board.rows} grid lines, found {len(rows)}")])
-    colors: dict[Coord, str] = {}
+    blank = "." * board.cols
+    circle_cols = {r: [c for _, c in row]
+                   for r, row in groupby(board.row_major, itemgetter(0))}
+    blacks: list[Coord] = []
     for r, (lineno, raw) in enumerate(rows, start=1):
         cells = raw.strip()
         lead = len(raw) - len(raw.lstrip())
@@ -208,6 +233,16 @@ def parse_coloring(text: str, board: Board) -> Coloring:
             diags.append(ParseDiagnostic(
                 lineno, lead + 1,
                 f"grid line holds {len(cells)} cells, board has {board.cols}"))
+            continue
+        cols = circle_cols.get(r, ())
+        shape = blank
+        if cols:
+            marks = list(blank)
+            for c in cols:
+                marks[c - 1] = BLACK
+            shape = "".join(marks)
+        if cells.translate(_SHAPE) == shape:
+            blacks += [(r, c) for c in cols if cells[c - 1] == BLACK]
             continue
         for j, char in enumerate(cells, start=1):
             coord = (r, j)
@@ -220,14 +255,12 @@ def parse_coloring(text: str, board: Board) -> Coloring:
                 if coord not in board.circles:
                     diags.append(ParseDiagnostic(
                         lineno, column, f"no circle at {coord}"))
-                else:
-                    colors[coord] = char
             else:
                 diags.append(ParseDiagnostic(
                     lineno, column, f"bad cell character {char!r}"))
     if diags:
         raise ParseError(diags)
-    return Coloring.from_colors(colors)
+    return Coloring(frozenset(board.circles), frozenset(blacks))
 
 
 # Largest rows * cols grid `write_coloring` builds.  A `.sol` grid is as
@@ -251,15 +284,15 @@ def write_coloring(coloring: Coloring, board: Board) -> str:
     check_grid_size(board)
     if coloring.cells != frozenset(board.circles):
         raise ColoringError("coloring does not cover the board's circles")
-    lines = []
-    for r in range(1, board.rows + 1):
-        line = []
-        for c in range(1, board.cols + 1):
-            if (r, c) in coloring.cells:
-                line.append(coloring[(r, c)])
-            else:
-                line.append(".")
-        lines.append("".join(line))
+    blank = "." * board.cols
+    # rows without circles share the blank template
+    lines = [blank] * board.rows
+    blacks = coloring.blacks
+    for r, row in groupby(board.row_major, itemgetter(0)):
+        line = list(blank)
+        for coord in row:
+            line[coord[1] - 1] = BLACK if coord in blacks else WHITE
+        lines[r - 1] = "".join(line)
     return "\n".join(lines) + "\n"
 
 
@@ -271,14 +304,14 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
             0, 0, "missing `p 1in3 <nvars> <nclauses>` header")])
     diags: list[ParseDiagnostic] = []
     lineno, raw = lines[0]
-    tokens = _tokens(raw)
-    shape = [t for t, _ in tokens[:2]]
-    nvars = _as_int(tokens[2][0]) if len(tokens) > 2 else None
-    nclauses = _as_int(tokens[3][0]) if len(tokens) > 3 else None
-    if (len(tokens) != 4 or shape != ["p", "1in3"]
+    tokens = raw.split()
+    nvars = _as_int(tokens[2]) if len(tokens) > 2 else None
+    nclauses = _as_int(tokens[3]) if len(tokens) > 3 else None
+    if (len(tokens) != 4 or tokens[:2] != ["p", "1in3"]
             or nvars is None or nclauses is None or nvars < 0 or nclauses < 0):
         raise ParseError([ParseDiagnostic(
-            lineno, tokens[0][1], "header must read `p 1in3 <nvars> <nclauses>`")])
+            lineno, _columns(raw)[0],
+            "header must read `p 1in3 <nvars> <nclauses>`")])
 
     body = lines[1:]
     if len(body) != nclauses:
@@ -289,20 +322,26 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
 
     clauses: list[list[int]] = []
     for lineno, raw in body:
-        tokens = _tokens(raw)
-        values = [_as_int(token) for token, _ in tokens]
-        if None in values:
-            token, column = tokens[values.index(None)]
+        tokens = raw.split()
+        try:
+            values = list(map(int, tokens))
+        except ValueError:
+            bad = next(k for k, token in enumerate(tokens)
+                       if _as_int(token) is None)
             diags.append(ParseDiagnostic(
-                lineno, column, f"not an integer: `{token}`"))
+                lineno, _columns(raw)[bad],
+                f"not an integer: `{tokens[bad]}`"))
             continue
         if len(values) != 4 or values[3] != 0:
             diags.append(ParseDiagnostic(
-                lineno, tokens[0][1],
+                lineno, _columns(raw)[0],
                 "clause line is three literals and a closing 0"))
             continue
-        diags += [ParseDiagnostic(lineno, tokens[k][1], message)
-                  for k, message in clause_findings(values[:3], nvars)]
+        findings = clause_findings(values[:3], nvars)
+        if findings:
+            columns = _columns(raw)
+            diags += [ParseDiagnostic(lineno, columns[k], message)
+                      for k, message in findings]
         clauses.append(values[:3])
 
     if diags:

@@ -147,6 +147,41 @@ def sized_instance(rng: random.Random, nvars: int, nclauses: int,
             return reduction.one_in_three(nvars, clauses)
 
 
+def reference_lp(board: core.Board) -> str:
+    """LP text of a board's 0-1 model, written straight from
+    `board.constraints` by the rules `ilp` documents, without `ilp`.
+
+    Variables are `x_<row>_<col>` in row-major order, each of weight 1 in
+    the objective.  A rule-A entry of skewer k is row `sk<k>`; window w of
+    rule B, C or D on line i is row `tb`, `tr` or `tc<i>_<w>`.  Equal
+    bounds make one `=` row; others a `>=` row suffixed `_lo` and a `<=`
+    row suffixed `_hi`.  Binaries list eight names to a line.
+    """
+    def name(coord: core.Coord) -> str:
+        return "x_%d_%d" % coord
+
+    names = [name(coord) for coord in sorted(board.circles)]
+    objective = " obj: " + " + ".join(names) if names else " obj:"
+    lines = ["Minimize", objective, "Subject To"]
+    prefix = {"A": "sk", "B": "tb", "C": "tr", "D": "tc"}
+    for con in board.constraints:
+        row = prefix[con.rule] + str(con.index)
+        if con.window is not None:
+            row += "_" + str(con.window)
+        body = " + ".join(name(coord) for coord in con.cells)
+        if con.lo == con.hi:
+            lines.append(" %s: %s = %d" % (row, body, con.lo))
+        else:
+            lines.append(" %s_lo: %s >= %d" % (row, body, con.lo))
+            lines.append(" %s_hi: %s <= %d" % (row, body, con.hi))
+    lines.append("Binaries")
+    while names:
+        lines.append(" " + " ".join(names[:8]))
+        names = names[8:]
+    lines.append("End")
+    return "".join(line + "\n" for line in lines)
+
+
 def _lp_terms(tokens: list[str]) -> dict[str, int]:
     """Coefficients of an LP-format sum such as `a + 2 b - c`."""
     coefs: dict[str, int] = {}

@@ -161,6 +161,21 @@ def test_rule_a_is_vacuous_without_a_clue():
         assert not [v for v in report if v.rule == "A"]
 
 
+def test_row_major_order_is_sorted_once_and_shared():
+    rng = random.Random(2207)
+    for _ in range(40):
+        board = random_board(rng)
+        assert board.row_major == tuple(sorted(board.circles))
+        # the board keeps one order; every caller gets a list of its own
+        assert board.row_major is board.row_major
+        coords = board.circle_coords()
+        assert coords == list(board.row_major)
+        coords.reverse()
+        assert board.circle_coords() == list(board.row_major)
+        direct = dataclasses.replace(board)   # no order handed over
+        assert direct.row_major == board.row_major
+
+
 def test_color_flip_keeps_run_violations():
     rng = random.Random(4021)
     for _ in range(60):

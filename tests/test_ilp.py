@@ -4,7 +4,8 @@ import pytest
 
 from oredango import ilp, reduction, solver, textio
 from oredango.core import build_board, check_coloring
-from oracles import highs_point, mask_oracle, random_board, sized_instance
+from oracles import (highs_point, mask_oracle, random_board, reference_lp,
+                     sized_instance)
 
 PAIRBLOCK_LP = """\
 Minimize
@@ -184,3 +185,15 @@ def test_highs_reads_the_exported_lp_and_agrees_with_the_solver():
             coloring = ilp.model_to_coloring(model, point, board)
             assert check_coloring(board, coloring).ok
     assert 0 < feasible < len(boards)
+
+
+def test_export_lp_equals_an_independent_writer(sample_board, pair_board):
+    rng = random.Random(5521)
+    boards = [sample_board, pair_board, build_board(3, 2, [])]
+    boards += [random_board(rng, max_circles=rng.choice((4, 16, 30)),
+                            max_side=rng.choice((3, 5, 8)))
+               for _ in range(150)]
+    boards += [reduction.reduce(sized_instance(rng, n, n, planted)).board
+               for n in range(3, 9) for planted in (False, True)]
+    for board in boards:
+        assert ilp.export_lp(ilp.build_model(board)) == reference_lp(board)

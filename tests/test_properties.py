@@ -5,7 +5,7 @@ against the exhaustive mask oracle.  Settings come from the profile that
 from hypothesis import given, strategies as st
 
 from oredango import reduction, textio
-from oredango.core import build_board
+from oredango.core import Coloring, build_board
 from oracles import literal_oracle, mask_oracle
 
 
@@ -71,3 +71,21 @@ def test_one_in_three_text_round_trips(instance):
 def test_checker_accepts_exactly_the_oracle_solutions(board):
     # literal_oracle runs check_coloring on every coloring of the board
     assert literal_oracle(board) == mask_oracle(board)
+
+
+@given(boards(), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_coloring_text_round_trips_on_slack_headers(board, extra_rows,
+                                                    extra_cols, data):
+    # the same circles and skewers under a header with empty rows and
+    # columns added below and to the right
+    circles = [coord + (() if circle.clue is None else (circle.clue,))
+               for coord, circle in board.circles.items()]
+    paths = [s.path for s in board.skewers if s.size >= 2]
+    slack = build_board(board.rows + extra_rows, board.cols + extra_cols,
+                        circles, paths)
+    blacks = data.draw(st.sets(st.sampled_from(sorted(slack.circles)))
+                       if slack.circles else st.just(set()))
+    coloring = Coloring(frozenset(slack.circles), frozenset(blacks))
+    text = textio.write_coloring(coloring, slack)
+    assert textio.parse_coloring(text, slack) == coloring
+    assert len(text.splitlines()) == slack.rows

@@ -206,3 +206,126 @@ def test_instance_equality_through_factory():
     a = reduction.one_in_three(3, [(3, 1, 2)])
     b = textio.parse_one_in_three("p 1in3 3 1\n1 2 3 0\n")
     assert a == b
+
+
+@pytest.mark.parametrize("text,expected", [
+    # tabs and runs of spaces before a bad token count one column each
+    ("rows 3\ncols 3\ncircle\t1 \t  x\ncircle  \t 2\t\t2 \t y9\n",
+     [(3, 13, "not an integer: `x`"), (4, 18, "not an integer: `y9`")]),
+    # CRLF endings and leading indentation
+    ("  rows 3\r\n\tcols 3\r\n   circle 1 1\r\n \t circle 2 q\r\n"
+     "  skewer 1 1 2 z\r\n",
+     [(4, 13, "not an integer: `q`"), (5, 16, "not an integer: `z`")]),
+    # two bad tokens on one circle line, left to right
+    ("rows 3\ncols 3\ncircle a 1 b\n",
+     [(3, 8, "not an integer: `a`"), (3, 12, "not an integer: `b`")]),
+    # a bad token inside a skewer pair names the first bad one of the pair
+    ("rows 3\ncols 3\ncircle 1 1\ncircle 2 2\nskewer 1 1 2 w\n"
+     "skewer 1 v 2 2\nskewer p q 2 2\n",
+     [(5, 14, "not an integer: `w`"), (6, 10, "not an integer: `v`"),
+      (7, 8, "not an integer: `p`")]),
+    # undeclared skewer circles point at the pair's row token, in path order
+    ("rows 3\ncols 3\ncircle 1 1\ncircle 2 2\nskewer 1 1 2 2 3 3\n"
+     "skewer 3 2  2 2\nskewer 3 3 2 x 1 1\n",
+     [(5, 16, "skewer visits undeclared circle (3, 3)"),
+      (6, 8, "skewer visits undeclared circle (3, 2)"),
+      (7, 8, "skewer visits undeclared circle (3, 3)"),
+      (7, 14, "not an integer: `x`")]),
+    # a duplicate circle points at its keyword
+    ("rows 3\ncols 3\ncircle 1 1\n  circle 1 1 0\ncircle 2 2\n"
+     "circle   2 2\n",
+     [(4, 3, "circle (1, 1) already declared"),
+      (6, 1, "circle (2, 2) already declared")]),
+])
+def test_board_diagnostics_pin_line_and_column(text, expected):
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_board(text)
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
+        == expected
+    assert not err.value.structural
+
+
+def test_board_reader_accepts_what_int_accepts():
+    board = textio.parse_board(
+        "rows 2\ncols 12\ncircle +1 1_0\ncircle 1 +1_1 +0\n")
+    assert board == build_board(2, 12, [(1, 10), (1, 11, 0)])
+
+
+# 5 x 6 header: rows 3 and 5 and columns 3 and 6 hold no circle
+SLACK_BOARD = "rows 5\ncols 6\n" + "".join(
+    f"circle {r} {c}\n" for r, c in
+    [(1, 1), (1, 2), (1, 5), (2, 4), (2, 5), (4, 1), (4, 2), (4, 4)])
+# indented, CRLF and interleaved with comments, so lines and columns differ
+# from grid rows and cells
+SLACK_GRID = ["BW..B.", "...WB.", "......", "WB.B..", "......"]
+SLACK_LEAD = ["", "  ", "\t", " ", ""]
+
+
+def _slack_text(grid):
+    return "# grid\r\n" + "".join(
+        f"{lead}{row}\r\n\r\n" for lead, row in zip(SLACK_LEAD, grid))
+
+
+def test_parse_coloring_slack_header_reads_the_grid():
+    board = textio.parse_board(SLACK_BOARD)
+    coloring = textio.parse_coloring(_slack_text(SLACK_GRID), board)
+    assert coloring.cells == frozenset(board.circles)
+    assert coloring.blacks == {(1, 1), (1, 5), (2, 5), (4, 2), (4, 4)}
+    assert textio.write_coloring(coloring, board) \
+        == "".join(row + "\n" for row in SLACK_GRID)
+
+
+@pytest.mark.parametrize("char", [".", "B", "W", "x"])
+def test_parse_coloring_pins_every_one_cell_change(char):
+    board = textio.parse_board(SLACK_BOARD)
+    for r, row in enumerate(SLACK_GRID, start=1):
+        for c, old in enumerate(row, start=1):
+            if old == char:
+                continue
+            grid = list(SLACK_GRID)
+            grid[r - 1] = row[:c - 1] + char + row[c:]
+            text = _slack_text(grid)
+            line, column = 2 * r, len(SLACK_LEAD[r - 1]) + c
+            circle = (r, c) in board.circles
+            if char in "BW" and circle:
+                coloring = textio.parse_coloring(text, board)
+                assert ((r, c) in coloring.blacks) == (char == "B")
+                continue
+            if char == ".":
+                message = f"circle at {(r, c)} needs B or W"
+            elif char in "BW":
+                message = f"no circle at {(r, c)}"
+            else:
+                message = f"bad cell character {char!r}"
+            with pytest.raises(textio.ParseError) as err:
+                textio.parse_coloring(text, board)
+            assert [(d.line, d.column, d.message, d.structural)
+                    for d in err.value.diagnostics] \
+                == [(line, column, message, False)]
+
+
+def test_parse_coloring_pins_short_rows_and_double_faults():
+    board = textio.parse_board(SLACK_BOARD)
+    short = list(SLACK_GRID)
+    short[1] = "...WB"
+    short[3] = "WB.B..."
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_coloring(_slack_text(short), board)
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+        (4, 3, "grid line holds 5 cells, board has 6"),
+        (8, 2, "grid line holds 7 cells, board has 6")]
+
+    double = list(SLACK_GRID)
+    double[1] = "B..?B."        # B off a circle, then ? on one
+    double[3] = "WB.B.W"        # a later row with a fault of its own
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_coloring(_slack_text(double), board)
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+        (4, 3, "no circle at (2, 1)"),
+        (4, 6, "bad cell character '?'"),
+        (8, 7, "no circle at (4, 6)")]
+
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_coloring(_slack_text(SLACK_GRID[:4]), board)
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+        (8, 0, "expected 5 grid lines, found 4")]
