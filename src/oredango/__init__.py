@@ -3,9 +3,15 @@
 Modules: `core` (board model and rule checker), `textio` (file formats),
 `solver` (complete search), `ilp` (0-1 model and LP export), `reduction`
 (1-in-3 satisfiability translation), and `cli` (command line).
+
+`import oredango` loads `core`, `solver` and `textio`; `ilp`,
+`reduction` and `cli` load on first access (PEP 562), so a board
+command pays for neither of the other layers.
 """
 
-from . import core, ilp, reduction, solver, textio
+import importlib
+
+from . import core, solver, textio
 from .core import (BLACK, WHITE, Board, BoardError, Circle, Coloring,
                    ColoringError, Skewer, TripleIndex, Violation,
                    ViolationReport, build_board, check_coloring, triple_index)
@@ -20,3 +26,15 @@ __all__ = [
     "check_coloring", "core", "ilp", "propagate", "reduction", "solve",
     "solver", "textio", "triple_index",
 ]
+
+_LAZY = ("cli", "ilp", "reduction")
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -6,6 +6,10 @@ diagnostics and progress notes go to stderr.  Exit codes: 0 for success,
 a found solution, or a passed verification; 1 for unsatisfiable boards,
 rule violations, exhausted solution sets, or failed verification; 2 for
 unusable input or bad usage.
+
+The board commands run on `core`, `solver` and `textio` alone; `lp` and
+the two reduction commands import `ilp` or `reduction` when they run, so
+a cold board command neither compiles nor executes those modules.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import core, ilp, reduction, solver, textio
+from . import core, solver, textio
 
 
 class _Fail(Exception):
@@ -139,13 +143,20 @@ def _cmd_another(args: argparse.Namespace) -> int:
 
 
 def _cmd_lp(args: argparse.Namespace) -> int:
+    from . import ilp
+
     board = _load(textio.parse_board, args.board)
     _emit((ilp.export_lp(ilp.build_model(board)), args.output))
     return 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    reduced = reduction.reduce(_load(textio.parse_one_in_three, args.cnf))
+    from . import reduction
+
+    try:
+        reduced = reduction.reduce(_load(textio.parse_one_in_three, args.cnf))
+    except reduction.ReductionError as err:
+        raise _Fail(2, str(err)) from err
     outputs = [(textio.write_board(reduced.board), args.output)]
     if args.map:
         outputs.append((reduction.format_reduction_map(reduced), args.map))
@@ -154,8 +165,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_reduction(args: argparse.Namespace) -> int:
-    result = reduction.verify_reduction(
-        _load(textio.parse_one_in_three, args.cnf))
+    from . import reduction
+
+    try:
+        result = reduction.verify_reduction(
+            _load(textio.parse_one_in_three, args.cnf))
+    except reduction.ReductionError as err:
+        raise _Fail(2, str(err)) from err
     word = "PASS" if result.ok else "FAIL"
     print(f"{word} puzzle={result.puzzle_solutions} "
           f"assignments={result.assignments}")
@@ -240,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
         for line in fail.messages:
             print(line, file=sys.stderr)
         code = fail.code
-    except reduction.ReductionError as err:
-        print(err, file=sys.stderr)
-        code = 2
     finally:
         if getattr(args, "time", False):
             elapsed = (time.perf_counter() - start) * 1000.0

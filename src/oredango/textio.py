@@ -19,11 +19,13 @@ import re
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .core import (BLACK, WHITE, Board, BoardError, Coloring, ColoringError,
                    Coord, build_board)
-from .reduction import OneInThreeInstance, clause_findings, one_in_three
+
+if TYPE_CHECKING:
+    from .reduction import OneInThreeInstance
 
 _TOKEN = re.compile(r"\S+")
 
@@ -298,6 +300,9 @@ def write_coloring(coloring: Coloring, board: Board) -> str:
 
 def parse_one_in_three(text: str) -> OneInThreeInstance:
     """Read a `.c13` instance file."""
+    # imported here so that reading boards does not load `reduction`
+    from .reduction import clause_findings, one_in_three
+
     lines = list(_significant(text))
     if not lines:
         raise ParseError([ParseDiagnostic(

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -24,6 +27,14 @@ def pytest_configure(config):
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run `args` in a new interpreter that imports the package from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def fixture_text(name: str) -> str:

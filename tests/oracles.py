@@ -108,6 +108,34 @@ def random_board(rng: random.Random, max_circles: int = 16,
     return core.build_board(rows, cols, circles, paths)
 
 
+# Uniform draws of all clauses tried before the clauses are built to use
+# every variable.  Rejection alone can run for minutes when 3 * nclauses
+# is not well above nvars * ln(nvars); a call that returns within this
+# many draws draws as plain rejection sampling would.
+RESAMPLES = 64
+
+
+def _covering_triples(rng: random.Random, nvars: int,
+                      nclauses: int) -> list[list[int]]:
+    """Variables of `nclauses` clauses that together use all `nvars`.
+
+    A shuffled order deals the variables round-robin over the clauses,
+    which needs `nvars <= 3 * nclauses`; the free places are drawn from
+    the variables not already in the clause.
+    """
+    if not 3 <= nvars <= 3 * nclauses:
+        raise ValueError(f"{nclauses} clauses cannot use {nvars} variables")
+    order = rng.sample(range(1, nvars + 1), nvars)
+    triples = []
+    for k in range(nclauses):
+        dealt = order[k::nclauses]
+        rest = [v for v in range(1, nvars + 1) if v not in dealt]
+        triple = dealt + rng.sample(rest, 3 - len(dealt))
+        rng.shuffle(triple)
+        triples.append(triple)
+    return triples
+
+
 def random_instance(rng: random.Random, max_vars: int = 4,
                     max_clauses: int = 4) -> reduction.OneInThreeInstance:
     """Random 1-in-3 instance with every variable used by some clause.
@@ -116,10 +144,12 @@ def random_instance(rng: random.Random, max_vars: int = 4,
     """
     n = rng.randint(3, min(max_vars, 3 * max_clauses))
     m = rng.randint(max(2, -(-n // 3)), max_clauses)
-    while True:
+    for attempt in itertools.count():
+        triples = (_covering_triples(rng, n, m) if attempt >= RESAMPLES
+                   else None)
         clauses = []
-        for _ in range(m):
-            chosen = rng.sample(range(1, n + 1), 3)
+        for i in range(m):
+            chosen = triples[i] if triples else rng.sample(range(1, n + 1), 3)
             clauses.append(tuple(v if rng.random() < 0.5 else -v
                                  for v in chosen))
         if {abs(l) for cl in clauses for l in cl} == set(range(1, n + 1)):
@@ -134,10 +164,13 @@ def sized_instance(rng: random.Random, nvars: int, nclauses: int,
     literal true under a hidden random assignment, so it is satisfiable.
     """
     hidden = [rng.randint(0, 1) for _ in range(nvars)]
-    while True:
+    for attempt in itertools.count():
+        triples = (_covering_triples(rng, nvars, nclauses)
+                   if attempt >= RESAMPLES else None)
         clauses = []
-        for _ in range(nclauses):
-            chosen = rng.sample(range(1, nvars + 1), 3)
+        for i in range(nclauses):
+            chosen = (triples[i] if triples
+                      else rng.sample(range(1, nvars + 1), 3))
             true_at = rng.randrange(3)
             clauses.append(tuple(
                 (v if hidden[v - 1] == (k == true_at) else -v) if planted

@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from conftest import FIXTURES, fixture_text
-from oredango import cli, ilp, solver, textio
+from conftest import FIXTURES, fixture_text, fresh_python
+from oredango import cli, ilp, reduction, solver, textio
 
 SAMPLE = str(FIXTURES / "sample4x4.odg")
 PAIR = str(FIXTURES / "pairblock.odg")
@@ -285,3 +285,68 @@ def test_reduce_writes_no_board_when_the_map_cannot_be_written(capsys,
 
     code, out, _ = run(capsys, "reduce", CNF, "--map", str(missing))
     assert (code, out) == (2, "")
+
+
+BASE_MODULES = ["oredango", "oredango.cli", "oredango.core",
+                "oredango.solver", "oredango.textio"]
+
+IMPORT_PROBE = """
+import contextlib, io, sys
+
+def loaded():
+    print(*sorted(k for k in sys.modules if k.partition(".")[0] == "oredango"))
+
+import oredango.cli as cli
+loaded()
+for argv in (["lp", {sample!r}], ["reduce", {cnf!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(code)
+    loaded()
+"""
+
+
+def test_commands_import_only_the_modules_they_run():
+    proc = fresh_python("-c", IMPORT_PROBE.format(sample=SAMPLE, cnf=CNF))
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    after_lp = sorted(BASE_MODULES + ["oredango.ilp"])
+    after_reduce = sorted(after_lp + ["oredango.reduction"])
+    assert lines == [BASE_MODULES, ["0"], after_lp, ["0"], after_reduce]
+
+
+def library_output(command: str) -> str:
+    """What `lp PAIR` or `reduce CNF` prints, computed in this process."""
+    if command == "lp":
+        board = textio.parse_board(fixture_text("pairblock.odg"))
+        return ilp.export_lp(ilp.build_model(board))
+    instance = textio.parse_one_in_three(fixture_text("three-clauses.c13"))
+    return textio.write_board(reduction.reduce(instance).board)
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["validate", SAMPLE], 0, "OK rows=4 cols=4 circles=13 skewers=4\n", ""),
+    (["check", SAMPLE, str(FIXTURES / "sample4x4-wrong-counts.sol")], 1,
+     "".join(line + "\n" for line in CHECK_LINES), ""),
+    (["solve", "--count", "--limit", "2", SAMPLE], 0, ">=2\n", ""),
+    (["another", PAIR, str(FIXTURES / "pairblock-first.sol")], 0,
+     fixture_text("pairblock-second.sol"), ""),
+    (["lp", PAIR], 0, None, ""),
+    (["reduce", CNF], 0, None, ""),
+    (["verify-reduction", CNF], 0, "PASS puzzle=1 assignments=1\n", ""),
+    (["reduce", "gap.c13"], 2, "", "variables in no clause: [4]\n"),
+    (["verify-reduction", "wide.c13"], 2, "",
+     "verification is exhaustive; limited to 6 variables and 5 clauses\n"),
+], ids=["validate", "check", "solve-count", "another", "lp", "reduce",
+        "verify-reduction", "reduce-unused-variable",
+        "verify-reduction-7-variables"])
+def test_cold_cli_runs_print_what_the_commands_always_printed(
+        tmp_path, monkeypatch, argv, code, out, err):
+    (tmp_path / "gap.c13").write_text("p 1in3 4 1\n1 2 3 0\n")
+    (tmp_path / "wide.c13").write_text(
+        "p 1in3 7 3\n1 2 3 0\n4 5 6 0\n5 6 7 0\n")
+    monkeypatch.chdir(tmp_path)
+    proc = fresh_python("-m", "oredango.cli", *argv)
+    if out is None:
+        out = library_output(argv[0])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

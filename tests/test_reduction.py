@@ -8,7 +8,7 @@ from conftest import fixture_text
 from oredango import reduction, solver, textio
 from oredango.core import Coloring, check_coloring
 from oredango.reduction import Literal, ReductionError
-from oracles import random_instance
+from oracles import random_instance, sized_instance
 
 THREE_CLAUSE_MAP = """\
 literal 1 1 1 2
@@ -80,6 +80,18 @@ def test_random_instance_returns_when_variables_outnumber_clauses():
             instance = random_instance(rng, *args)
             used = {lit.var for clause in instance.clauses for lit in clause}
             assert used == set(range(1, instance.nvars + 1))
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_sized_instance_returns_when_clauses_barely_cover_the_variables(
+        planted):
+    # 150 literal places for 80 variables: plain rejection sampling
+    # ran for minutes here
+    instance = sized_instance(random.Random(1), 80, 50, planted)
+    used = {lit.var for clause in instance.clauses for lit in clause}
+    assert (used, len(instance.clauses)) == (set(range(1, 81)), 50)
+    with pytest.raises(ValueError, match="3 clauses cannot use 10 variables"):
+        sized_instance(random.Random(1), 10, 3, planted)
 
 
 def test_reduce_rejects_degenerate_instances():
