@@ -53,28 +53,6 @@ class ColoringError(ValueError):
     """A coloring does not fit the board it is checked against."""
 
 
-@dataclass(frozen=True)
-class Circle:
-    """One circle cell; `clue` is the black count of its skewer, if given."""
-
-    clue: int | None = None
-
-
-@dataclass(frozen=True)
-class Skewer:
-    """An ordered path of circle coordinates.
-
-    Paths are stored with the lexicographically smaller endpoint first;
-    `build_board` flips reversed input, so equal skewers compare equal.
-    """
-
-    path: tuple[Coord, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.path)
-
-
 class Constraint(NamedTuple):
     """One rule instance: the black count over `cells` lies in [`lo`, `hi`].
 
@@ -91,12 +69,20 @@ class Constraint(NamedTuple):
 
 @dataclass(frozen=True)
 class Board:
-    """Immutable puzzle instance.  Construct through `build_board`."""
+    """Immutable puzzle instance.  Construct through `build_board`.
+
+    `circles` maps each circle's coordinate to its clue, or None when it
+    carries none.  `skewers` holds each skewer's path of coordinates,
+    stored with the lexicographically smaller endpoint first
+    (`build_board` flips reversed input, so equal skewers compare equal):
+    the multi-circle skewers in input order, then the loners in row-major
+    order.
+    """
 
     rows: int
     cols: int
-    circles: Mapping[Coord, Circle]
-    skewers: tuple[Skewer, ...]
+    circles: Mapping[Coord, int | None]
+    skewers: tuple[tuple[Coord, ...], ...]
 
     @cached_property
     def row_major(self) -> tuple[Coord, ...]:
@@ -104,14 +90,10 @@ class Board:
         (`build_board` hands over the order its loner pass sorted)."""
         return tuple(sorted(self.circles))
 
-    def circle_coords(self) -> list[Coord]:
-        """All circle coordinates in row-major order, as a fresh list."""
-        return list(self.row_major)
-
-    def clue_of(self, skewer: Skewer) -> int | None:
-        """The clue carried by a skewer, or None when unclued."""
-        for coord in skewer.path:
-            clue = self.circles[coord].clue
+    def clue_of(self, path: Sequence[Coord]) -> int | None:
+        """The clue carried by a skewer path, or None when unclued."""
+        for coord in path:
+            clue = self.circles[coord]
             if clue is not None:
                 return clue
         return None
@@ -134,17 +116,16 @@ class Board:
         circles = self.circles
         found = []
         add = found.append
-        for k, skewer in enumerate(self.skewers, start=1):
-            path = skewer.path
-            clue = (circles[path[0]].clue if len(path) == 1
-                    else self.clue_of(skewer))
+        for k, path in enumerate(self.skewers, start=1):
+            clue = (circles[path[0]] if len(path) == 1
+                    else self.clue_of(path))
             if clue is not None:
                 add(new(Constraint, ("A", k, None, path, clue, clue)))
         by_row = self.row_major
         # stable, so each column keeps its circles top to bottom
         by_col = sorted(by_row, key=itemgetter(1))
         lines = chain(
-            (("B", k, s.path) for k, s in enumerate(self.skewers, start=1)),
+            (("B", k, path) for k, path in enumerate(self.skewers, start=1)),
             (("C", r, list(line)) for r, line in groupby(by_row, itemgetter(0))),
             (("D", c, list(line)) for c, line in groupby(by_col, itemgetter(1))))
         for rule, i, line in lines:
@@ -180,10 +161,6 @@ class Coloring:
         if coord not in self.cells:
             raise KeyError(coord)
         return BLACK if coord in self.blacks else WHITE
-
-    @property
-    def colors(self) -> dict[Coord, str]:
-        return {coord: self[coord] for coord in sorted(self.cells)}
 
     def count_black(self, coords: Iterable[Coord]) -> int:
         return sum(1 for coord in coords if coord in self.blacks)
@@ -269,7 +246,6 @@ def build_board(rows: int, cols: int,
     `circle_list` holds (row, col) or (row, col, clue) entries.  Each entry
     of `skewer_list` is a path over declared circles; circles on no path
     become size-one skewers of their own, appended in row-major order.
-    Circles with equal clues share one `Circle` value, which is frozen.
     Raises BoardError when any structural rule fails.  The error names the
     first fault: circles in input order, then skewer paths in input order,
     then clues by skewer number.
@@ -277,8 +253,7 @@ def build_board(rows: int, cols: int,
     if rows < 1 or cols < 1:
         raise BoardError(f"grid must be at least 1x1, got {rows}x{cols}")
 
-    circles: dict[Coord, Circle] = {}
-    shared: dict[int | None, Circle] = {}
+    circles: dict[Coord, int | None] = {}
     for entry in circle_list:
         if len(entry) == 2:
             (r, c), clue = entry, None
@@ -292,14 +267,11 @@ def build_board(rows: int, cols: int,
                              coord=coord)
         if coord in circles:
             raise BoardError(f"circle {coord} declared twice", coord=coord)
-        circle = shared.get(clue)
-        if circle is None:
-            if clue is not None and clue < 0:
-                raise BoardError(f"negative clue at {coord}", coord=coord)
-            circle = shared[clue] = Circle(clue)
-        circles[coord] = circle
+        if clue is not None and clue < 0:
+            raise BoardError(f"negative clue at {coord}", coord=coord)
+        circles[coord] = clue
 
-    skewers: list[Skewer] = []
+    skewers: list[tuple[Coord, ...]] = []
     threaded: set[Coord] = set()
     multi: set[Coord] = set()
     fault: BoardError | None = None
@@ -324,7 +296,7 @@ def build_board(rows: int, cols: int,
                     coord=(r2, c2), skewer=k)
         # a one-circle path adds nothing; the loner joins the appendix below
         if len(coords) >= 2:
-            skewers.append(Skewer(coords))
+            skewers.append(coords)
             multi.update(coords)
             if fault is None:
                 fault = _clue_fault(circles, coords, len(skewers))
@@ -335,8 +307,8 @@ def build_board(rows: int, cols: int,
     row_major = tuple(sorted(circles))
     for coord in row_major:
         if coord not in multi:
-            skewers.append(Skewer((coord,)))
-            clue = circles[coord].clue
+            skewers.append((coord,))
+            clue = circles[coord]
             if clue is not None and clue > 1:
                 raise _clue_fault(circles, (coord,), len(skewers))
 
@@ -346,16 +318,16 @@ def build_board(rows: int, cols: int,
     return board
 
 
-def _clue_fault(circles: Mapping[Coord, Circle], path: tuple[Coord, ...],
-                k: int) -> BoardError | None:
+def _clue_fault(circles: Mapping[Coord, int | None],
+                path: tuple[Coord, ...], k: int) -> BoardError | None:
     """The clue rule that `path`, as skewer k, breaks first, if any."""
-    clued = [c for c in path if circles[c].clue is not None]
+    clued = [c for c in path if circles[c] is not None]
     if len(clued) > 1:
         return BoardError(f"skewer {k} carries two clues",
                           coord=clued[1], skewer=k)
-    if clued and circles[clued[0]].clue > len(path):
+    if clued and circles[clued[0]] > len(path):
         return BoardError(
-            f"clue {circles[clued[0]].clue} at {clued[0]} exceeds "
+            f"clue {circles[clued[0]]} at {clued[0]} exceeds "
             f"skewer size {len(path)}", coord=clued[0], skewer=k)
     return None
 
@@ -384,7 +356,7 @@ def triple_index(board: Board) -> TripleIndex:
     return TripleIndex(
         row_triples=tuple(_windows(line) for line in by_row),
         col_triples=tuple(_windows(line) for line in by_col),
-        skewer_triples=tuple(_windows(s.path) for s in board.skewers),
+        skewer_triples=tuple(map(_windows, board.skewers)),
     )
 
 

@@ -118,17 +118,10 @@ def _model_engine(model: LinearModel) -> tuple[list[str], BoundedCounts]:
 
 
 def solve_model(model: LinearModel) -> dict[str, int] | None:
-    """First feasible 0-1 point of the model, or None when infeasible.
-
-    Runs the same propagation search the board solver uses, applied to the
-    model's own constraint groups.
-    """
-    names, engine = _model_engine(model)
-    _, found, _ = engine.run(cap=1)
-    if not found:
-        return None
-    values = found[0]
-    return {names[i]: values[i] for i in range(len(names))}
+    """First feasible 0-1 point of the model, as `enumerate_model` orders
+    them, or None when infeasible."""
+    found = enumerate_model(model, 1)
+    return found[0] if found else None
 
 
 def enumerate_model(model: LinearModel, cap: int | None = None) -> list[dict[str, int]]:

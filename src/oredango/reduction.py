@@ -348,11 +348,11 @@ def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
     board = reduced.board
     problems: list[str] = []
 
-    for k, skewer in enumerate(board.skewers, start=1):
-        if skewer.size > 2:
-            problems.append(f"skewer {k} threads {skewer.size} circles")
+    for k, path in enumerate(board.skewers, start=1):
+        if len(path) > 2:
+            problems.append(f"skewer {k} threads {len(path)} circles")
     for coord in board.row_major:
-        clue = board.circles[coord].clue
+        clue = board.circles[coord]
         if clue is not None and clue not in (0, 1):
             problems.append(f"clue {clue} at {coord} is outside {{0, 1}}")
 

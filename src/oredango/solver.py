@@ -374,8 +374,7 @@ class BoundedCounts:
             return clause
         return None
 
-    def run(self, cap: int | None = None,
-            seed: Iterable[tuple[int, int]] = ()) -> tuple[bool, list[tuple[int, ...]], int]:
+    def run(self, cap: int | None = None) -> tuple[bool, list[tuple[int, ...]], int]:
         """Enumerate satisfying assignments in lexicographic order.
 
         Returns (exhausted, assignments, nodes); `exhausted` is False when
@@ -387,7 +386,7 @@ class BoundedCounts:
         if cap is not None and cap < 1:
             raise ValueError("cap must be at least 1")
         self._start()
-        if not self._root(seed):
+        if not self._root(()):
             return True, [], 0
         nvars = self.nvars
         self._watches = [None] * (2 * nvars)

@@ -197,12 +197,12 @@ def write_board(board: Board) -> str:
     multi-circle skewers in stored order."""
     lines = [f"rows {board.rows}", f"cols {board.cols}"]
     for coord in board.row_major:
-        clue = board.circles[coord].clue
+        clue = board.circles[coord]
         suffix = "" if clue is None else f" {clue}"
         lines.append(f"circle {coord[0]} {coord[1]}{suffix}")
-    for skewer in board.skewers:
-        if skewer.size >= 2:
-            flat = " ".join(f"{r} {c}" for r, c in skewer.path)
+    for path in board.skewers:
+        if len(path) >= 2:
+            flat = " ".join(f"{r} {c}" for r, c in path)
             lines.append(f"skewer {flat}")
     return "\n".join(lines) + "\n"
 
@@ -224,9 +224,9 @@ def parse_coloring(text: str, board: Board) -> Coloring:
         last = rows[-1][0] if rows else 0
         raise ParseError([ParseDiagnostic(
             last, 0, f"expected {board.rows} grid lines, found {len(rows)}")])
-    blank = "." * board.cols
     circle_cols = {r: [c for _, c in row]
                    for r, row in groupby(board.row_major, itemgetter(0))}
+    blank = ""
     blacks: list[Coord] = []
     for r, (lineno, raw) in enumerate(rows, start=1):
         cells = raw.strip()
@@ -236,6 +236,9 @@ def parse_coloring(text: str, board: Board) -> Coloring:
                 lineno, lead + 1,
                 f"grid line holds {len(cells)} cells, board has {board.cols}"))
             continue
+        # built only once a row of the file has the header's width, so a
+        # short file costs no more than its text whatever the header says
+        blank = blank or "." * board.cols
         cols = circle_cols.get(r, ())
         shape = blank
         if cols:

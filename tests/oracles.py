@@ -20,16 +20,16 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
 
 def mask_oracle(board: core.Board) -> set[core.Coloring]:
     """Every solution of the board, by vectorized scan of all colorings."""
-    coords = board.circle_coords()
+    coords = board.row_major
     k = len(coords)
     assert k <= 20, "mask oracle is exhaustive"
     index = {c: i for i, c in enumerate(coords)}
     universe = np.arange(1 << k, dtype=np.uint32)
     keep = np.ones(1 << k, dtype=bool)
-    for skewer in board.skewers:
-        clue = board.clue_of(skewer)
+    for path in board.skewers:
+        clue = board.clue_of(path)
         if clue is not None:
-            mask = np.uint32(sum(1 << index[c] for c in skewer.path))
+            mask = np.uint32(sum(1 << index[c] for c in path))
             keep &= _popcount(universe & mask) == clue
     for window in core.triple_index(board).all_triples():
         mask = np.uint32(sum(1 << index[c] for c in window))
@@ -46,7 +46,7 @@ def mask_oracle(board: core.Board) -> set[core.Coloring]:
 
 def literal_oracle(board: core.Board) -> set[core.Coloring]:
     """Same set as mask_oracle, but through check_coloring one by one."""
-    coords = board.circle_coords()
+    coords = board.row_major
     assert len(coords) <= 12
     domain = frozenset(coords)
     found = set()

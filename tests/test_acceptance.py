@@ -72,9 +72,9 @@ def test_criterion_4_reduction_end_to_end(capsys, tmp_path):
     assert len(outcome.solutions) == 1
     assert reduction.coloring_to_assignment(reduced, outcome.solutions[0]) \
         == (1, 0, 0, 1)
-    assert all(s.size <= 2 for s in reduced.board.skewers)
-    assert all(c.clue in (None, 0, 1)
-               for c in reduced.board.circles.values())
+    assert all(len(path) <= 2 for path in reduced.board.skewers)
+    assert all(clue in (None, 0, 1)
+               for clue in reduced.board.circles.values())
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     passed(4, f"reduce/solve/decode round trip in {elapsed:.3f}s")

@@ -8,7 +8,7 @@ import pytest
 from conftest import fixture_text
 from oredango import ilp, reduction, solver, textio
 from oredango.core import (BLACK, WHITE, BoardError, Coloring, ColoringError,
-                           Skewer, build_board, check_coloring, triple_index)
+                           build_board, check_coloring, triple_index)
 from oredango.core import Constraint
 from oracles import random_board, sized_instance
 
@@ -24,7 +24,7 @@ def test_build_board_assembles_sample(sample_board):
     assert sample_board.rows == 4 and sample_board.cols == 4
     assert len(sample_board.circles) == 13
     # explicit skewers first, stored small-endpoint first, loners row-major
-    assert [s.path for s in sample_board.skewers] == [
+    assert list(sample_board.skewers) == [
         ((1, 3), (1, 2), (2, 1), (3, 2), (4, 1)),
         ((1, 4), (2, 3), (3, 4), (4, 3), (4, 2), (3, 1)),
         ((1, 1),),
@@ -41,11 +41,29 @@ def test_path_reversal_builds_the_same_board():
     assert forward == backward
 
 
+def test_circles_map_to_plain_clues(sample_board):
+    expected = {}
+    for line in fixture_text("sample4x4.odg").splitlines():
+        if line.startswith("circle "):
+            r, c, *clue = map(int, line.split()[1:])
+            expected[(r, c)] = clue[0] if clue else None
+    assert sample_board.circles == expected
+    assert {type(clue) for clue in sample_board.circles.values()} \
+        == {int, type(None)}
+
+
+def test_reversed_path_is_stored_as_a_canonical_tuple():
+    board = build_board(2, 3, [(1, 1), (1, 2), (2, 3, 1)],
+                        [[(2, 3), (1, 2), (1, 1)]])
+    assert board.skewers == (((1, 1), (1, 2), (2, 3)),)
+    assert type(board.skewers[0]) is tuple
+
+
 def test_explicit_loner_path_joins_the_appendix():
     explicit = build_board(1, 3, [(1, 1), (1, 3)], [[(1, 3)]])
     implicit = build_board(1, 3, [(1, 1), (1, 3)])
     assert explicit == implicit
-    assert [s.path for s in explicit.skewers] == [((1, 1),), ((1, 3),)]
+    assert explicit.skewers == (((1, 1),), ((1, 3),))
 
 
 @pytest.mark.parametrize("rows,cols,circles,skewers,fragment", [
@@ -166,12 +184,8 @@ def test_row_major_order_is_sorted_once_and_shared():
     for _ in range(40):
         board = random_board(rng)
         assert board.row_major == tuple(sorted(board.circles))
-        # the board keeps one order; every caller gets a list of its own
+        # the board keeps one order
         assert board.row_major is board.row_major
-        coords = board.circle_coords()
-        assert coords == list(board.row_major)
-        coords.reverse()
-        assert board.circle_coords() == list(board.row_major)
         direct = dataclasses.replace(board)   # no order handed over
         assert direct.row_major == board.row_major
 
@@ -180,7 +194,7 @@ def test_color_flip_keeps_run_violations():
     rng = random.Random(4021)
     for _ in range(60):
         board = random_board(rng, max_circles=12)
-        coords = board.circle_coords()
+        coords = board.row_major
         blacks = frozenset(c for c in coords if rng.random() < 0.5)
         domain = frozenset(coords)
         plain = check_coloring(board, Coloring(domain, blacks))
@@ -194,12 +208,12 @@ def test_report_empty_iff_counts_in_window():
     rng = random.Random(515)
     for _ in range(80):
         board = random_board(rng, max_circles=12)
-        coords = board.circle_coords()
+        coords = board.row_major
         coloring = Coloring(frozenset(coords),
                             frozenset(c for c in coords if rng.random() < 0.5))
         clues_ok = all(
-            coloring.count_black(s.path) == board.clue_of(s)
-            for s in board.skewers if board.clue_of(s) is not None)
+            coloring.count_black(path) == board.clue_of(path)
+            for path in board.skewers if board.clue_of(path) is not None)
         triples_ok = all(
             coloring.count_black(w) in (1, 2)
             for w in triple_index(board).all_triples())
@@ -218,13 +232,13 @@ def test_deleting_an_empty_row_preserves_the_report():
         trials += 1
         gone = empty[0]
         shift = lambda c: (c[0] - 1, c[1]) if c[0] > gone else c
-        circles = [shift(c) + (() if board.circles[c].clue is None
-                               else (board.circles[c].clue,))
-                   for c in board.circle_coords()]
-        skewers = [[shift(c) for c in s.path]
-                   for s in board.skewers if s.size >= 2]
+        circles = [shift(c) + (() if board.circles[c] is None
+                               else (board.circles[c],))
+                   for c in board.row_major]
+        skewers = [[shift(c) for c in path]
+                   for path in board.skewers if len(path) >= 2]
         smaller = build_board(board.rows - 1, board.cols, circles, skewers)
-        coords = board.circle_coords()
+        coords = board.row_major
         coloring = Coloring(frozenset(coords),
                             frozenset(c for c in coords if rng.random() < 0.5))
         moved = Coloring(frozenset(shift(c) for c in coloring.cells),
@@ -240,10 +254,10 @@ def listed_constraints(board):
     """Rules A-D as Constraint entries, built straight from clue_of and
     triple_index in the checker's report order."""
     found = []
-    for k, skewer in enumerate(board.skewers, start=1):
-        clue = board.clue_of(skewer)
+    for k, path in enumerate(board.skewers, start=1):
+        clue = board.clue_of(path)
         if clue is not None:
-            found.append(Constraint("A", k, None, skewer.path, clue, clue))
+            found.append(Constraint("A", k, None, path, clue, clue))
     index = triple_index(board)
     for rule, lines in (("B", index.skewer_triples), ("C", index.row_triples),
                         ("D", index.col_triples)):
@@ -277,7 +291,7 @@ def test_sample_constraints_in_report_order(sample_board):
     rules = [con.rule for con in sample_board.constraints]
     assert rules == ["A"] * 4 + ["B"] * 7 + ["C"] * 5 + ["D"] * 5
     first = sample_board.constraints[0]
-    assert first == Constraint("A", 1, None, sample_board.skewers[0].path, 3, 3)
+    assert first == Constraint("A", 1, None, sample_board.skewers[0], 3, 3)
 
 
 def test_constraints_are_cached(sample_board):
@@ -299,9 +313,9 @@ def shifted(board, rows, cols, dr, dc):
     """`board` moved down by dr and right by dc inside a rows x cols header."""
     def move(coord):
         return (coord[0] + dr, coord[1] + dc)
-    circles = [move(c) + ((circle.clue,) if circle.clue is not None else ())
-               for c, circle in board.circles.items()]
-    paths = [[move(c) for c in s.path] for s in board.skewers if s.size > 1]
+    circles = [move(c) + ((clue,) if clue is not None else ())
+               for c, clue in board.circles.items()]
+    paths = [[move(c) for c in path] for path in board.skewers if len(path) > 1]
     return build_board(rows, cols, circles, paths)
 
 

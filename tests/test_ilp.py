@@ -29,8 +29,8 @@ def test_sample_model_census(sample_board):
     model = ilp.build_model(sample_board)
     assert len(model.variables) == 13
     assert model.variables[:2] == (("x_1_1", (1, 1)), ("x_1_2", (1, 2)))
-    assert [coord for _, coord in model.variables] \
-        == sample_board.circle_coords()
+    assert tuple(coord for _, coord in model.variables) \
+        == sample_board.row_major
     assert model.objective == (1,) * 13
 
     equalities = [c for c in model.constraints if c.lower == c.upper]

@@ -78,9 +78,9 @@ def test_coloring_text_round_trips_on_slack_headers(board, extra_rows,
                                                     extra_cols, data):
     # the same circles and skewers under a header with empty rows and
     # columns added below and to the right
-    circles = [coord + (() if circle.clue is None else (circle.clue,))
-               for coord, circle in board.circles.items()]
-    paths = [s.path for s in board.skewers if s.size >= 2]
+    circles = [coord + (() if clue is None else (clue,))
+               for coord, clue in board.circles.items()]
+    paths = [path for path in board.skewers if len(path) >= 2]
     slack = build_board(board.rows + extra_rows, board.cols + extra_cols,
                         circles, paths)
     blacks = data.draw(st.sets(st.sampled_from(sorted(slack.circles)))

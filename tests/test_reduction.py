@@ -132,8 +132,8 @@ def test_dimension_formula_on_random_instances():
 
 def test_reduced_boards_stay_within_target_fragment(three_clause):
     board = reduction.reduce(three_clause).board
-    assert all(s.size <= 2 for s in board.skewers)
-    clues = {c.clue for c in board.circles.values() if c.clue is not None}
+    assert all(len(path) <= 2 for path in board.skewers)
+    clues = {clue for clue in board.circles.values() if clue is not None}
     assert clues <= {0, 1}
 
 

@@ -22,7 +22,7 @@ def grids(outcome, board):
 
 
 def lex_key(board, coloring):
-    return tuple(coloring[c] for c in board.circle_coords())
+    return tuple(coloring[c] for c in board.row_major)
 
 
 def test_sample_solution_set_is_frozen(sample_board):
@@ -167,7 +167,7 @@ def test_propagate_is_sound_on_random_boards():
 @given(st.data())
 def test_propagate_is_sound_for_partial_seeds(data):
     board = random_board(random.Random(data.draw(st.integers(0, 10**9))))
-    coords = board.circle_coords()
+    coords = board.row_major
     chosen = data.draw(st.lists(st.sampled_from(coords), unique=True)
                        if coords else st.just([]))
     partial = {c: data.draw(st.sampled_from((BLACK, WHITE))) for c in chosen}

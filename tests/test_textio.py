@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -302,6 +303,22 @@ def test_parse_coloring_pins_every_one_cell_change(char):
             assert [(d.line, d.column, d.message, d.structural)
                     for d in err.value.diagnostics] \
                 == [(line, column, message, False)]
+
+
+def test_parse_coloring_costs_the_file_not_the_header():
+    # a one-cell row under a 10^7-column header is reported before any
+    # row-wide template is built
+    board = build_board(1, 10**7, [(1, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(textio.ParseError) as err:
+            textio.parse_coloring("B\n", board)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+        (1, 1, "grid line holds 1 cells, board has 10000000")]
+    assert peak < 1 << 20
 
 
 def test_parse_coloring_pins_short_rows_and_double_faults():
