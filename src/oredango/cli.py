@@ -50,11 +50,20 @@ def _load(parse, path: str, *context):
 def _emit(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path) pair, to stdout where the path is None.
 
+    Two paths that resolve to one file exit 2 before anything is touched.
     Every path is opened before any text is written, in append mode, which
     creates a missing file and changes no existing one.  When one cannot be
     opened, the files this call created are removed again, so a run that
     exits 2 leaves none of its outputs behind.
     """
+    named: set[Path] = set()
+    for _, output in outputs:
+        if output is not None:
+            target = Path(output).resolve()
+            if target in named:
+                raise _Fail(2, f"cannot write {output}: one path cannot "
+                               "take two outputs")
+            named.add(target)
     created: list[Path] = []
     for _, output in outputs:
         if output is not None:

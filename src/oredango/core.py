@@ -162,9 +162,6 @@ class Coloring:
             raise KeyError(coord)
         return BLACK if coord in self.blacks else WHITE
 
-    def count_black(self, coords: Iterable[Coord]) -> int:
-        return sum(1 for coord in coords if coord in self.blacks)
-
 
 @dataclass(frozen=True)
 class TripleIndex:

@@ -49,31 +49,14 @@ class ReductionError(ValueError):
     """The instance or assignment violates the translation's contract."""
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    var: int
-    negated: bool = False
-
-    def __post_init__(self) -> None:
-        if self.var < 1:
-            raise ReductionError(f"variable {self.var} is below 1")
-
-    def complement(self) -> "Literal":
-        return Literal(self.var, not self.negated)
-
-    def to_int(self) -> int:
-        return -self.var if self.negated else self.var
-
-    def value(self, assignment: Sequence[int]) -> int:
-        return assignment[self.var - 1] ^ (1 if self.negated else 0)
-
-
-Clause = tuple[Literal, Literal, Literal]
+# A literal is a signed variable number: v or -v for variable v >= 1.
+Clause = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class OneInThreeInstance:
-    """Normalized instance: clause literals sorted by variable index."""
+    """Normalized instance: each clause a tuple of three signed literals
+    sorted by variable (`sorted(literals, key=abs)`)."""
 
     nvars: int
     clauses: tuple[Clause, ...]
@@ -103,16 +86,15 @@ def _check_clause(pos: int, clause: Sequence[int], nvars: int) -> None:
 
 
 def one_in_three(nvars: int,
-                 clauses: Iterable[Iterable[int | Literal]]) -> OneInThreeInstance:
-    """Build a normalized instance; literals may be signed integers."""
+                 clauses: Iterable[Iterable[int]]) -> OneInThreeInstance:
+    """Build a normalized instance from clauses of signed literals."""
     if nvars < 0:
         raise ReductionError("variable count cannot be negative")
     normalized: list[Clause] = []
     for pos, raw in enumerate(clauses, start=1):
-        ints = [item.to_int() if isinstance(item, Literal) else int(item)
-                for item in raw]
+        ints = [int(lit) for lit in raw]
         _check_clause(pos, ints, nvars)
-        normalized.append(tuple(sorted(Literal(abs(v), v < 0) for v in ints)))
+        normalized.append(tuple(sorted(ints, key=abs)))
     return OneInThreeInstance(nvars, tuple(normalized))
 
 
@@ -121,7 +103,7 @@ class LayoutMeta:
     """Role tags of the reduced board's rows and columns.
 
     Row tags: ("clause", i), ("guard", i), ("band", i, 0 or 1), and
-    ("spacer", i, v).  Column tags: ("anchor", side), ("lit", Literal),
+    ("spacer", i, v).  Column tags: ("anchor", side), ("lit", v or -v),
     ("black_sep", v), and ("white_sep", v).
     """
 
@@ -134,13 +116,17 @@ class LayoutMeta:
 @dataclass(frozen=True)
 class ReducedPuzzle:
     board: Board
-    literal_cells: Mapping[tuple[int, Literal], Coord]
+    literal_cells: Mapping[tuple[int, int], Coord]
     variable_readout: Mapping[int, Coord]
     layout_meta: LayoutMeta
 
 
-def _col(lit: Literal) -> int:
-    return 4 * lit.var - 2 + (1 if lit.negated else 0)
+def _col(lit: int) -> int:
+    return 4 * abs(lit) - 2 + (lit < 0)
+
+
+def _truth(lit: int, values: Sequence[int]) -> int:
+    return values[abs(lit) - 1] ^ (lit < 0)
 
 
 def _unused(used: set[int], n: int, shown: int = 10) -> str:
@@ -161,13 +147,13 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     distinct variables, or variables in no clause.
     """
     for pos, clause in enumerate(instance.clauses, start=1):
-        _check_clause(pos, [lit.to_int() for lit in clause], instance.nvars)
+        _check_clause(pos, clause, instance.nvars)
     n = instance.nvars
     if n < 1:
         raise ReductionError("an instance needs at least one variable")
     if not instance.clauses:
         raise ReductionError("an instance needs at least one clause")
-    used = {lit.var for clause in instance.clauses for lit in clause}
+    used = {abs(lit) for clause in instance.clauses for lit in clause}
     if len(used) != n:
         raise ReductionError(f"variables in no clause: {_unused(used, n)}")
 
@@ -207,15 +193,15 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     col_tags: dict[int, tuple] = {1: ("anchor", "left"),
                                   right: ("anchor", "right")}
     for v in range(1, n + 1):
-        col_tags[4 * v - 2] = ("lit", Literal(v, False))
-        col_tags[4 * v - 1] = ("lit", Literal(v, True))
+        col_tags[4 * v - 2] = ("lit", v)
+        col_tags[4 * v - 1] = ("lit", -v)
         col_tags[4 * v] = ("black_sep", v)
         if v < n:
             col_tags[4 * v + 1] = ("white_sep", v)
 
     circles: list[tuple] = []
     skewers: list[list[Coord]] = []
-    literal_cells: dict[tuple[int, Literal], Coord] = {}
+    literal_cells: dict[tuple[int, int], Coord] = {}
     covered: dict[int, set[int]] = {}
 
     for i in range(1, m + 1):
@@ -229,7 +215,7 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
             taken.add(_col(lit))
             literal_cells.setdefault((1 if doubled else i, lit), cell)
         for lit in (ordered[0], ordered[2]):
-            column = _col(lit.complement())
+            column = _col(-lit)
             circles.append((rg, column))
             taken.add(column)
         covered[i] = taken
@@ -290,8 +276,7 @@ def assignment_to_coloring(reduced: ReducedPuzzle,
         elif tag[0] == "white_sep":
             black = kind == "spacer"
         else:
-            lit: Literal = tag[1]
-            value = lit.value(values)
+            value = _truth(tag[1], values)
             black = not value if kind == "band" else bool(value)
         colors[cell] = BLACK if black else WHITE
     return Coloring.from_colors(colors)
@@ -316,9 +301,11 @@ def enumerate_assignments(instance: OneInThreeInstance) -> list[tuple[int, ...]]
     """All accepted assignments by exhaustive scan, lexicographic order."""
     if instance.nvars > 24:
         raise ReductionError("exhaustive scan is limited to 24 variables")
+    for pos, clause in enumerate(instance.clauses, start=1):
+        _check_clause(pos, clause, instance.nvars)
     accepted = []
     for bits in itertools.product((0, 1), repeat=instance.nvars):
-        if all(sum(lit.value(bits) for lit in clause) == 1
+        if all(sum(_truth(lit, bits) for lit in clause) == 1
                for clause in instance.clauses):
             accepted.append(bits)
     return accepted
@@ -400,7 +387,7 @@ def format_reduction_map(reduced: ReducedPuzzle) -> str:
     ordered = sorted(reduced.literal_cells.items(),
                      key=lambda item: (item[0][0], item[1][1]))
     for (i, lit), (row, column) in ordered:
-        lines.append(f"literal {i} {lit.to_int()} {row} {column}")
+        lines.append(f"literal {i} {lit} {row} {column}")
     for v in sorted(reduced.variable_readout):
         row, column = reduced.variable_readout[v]
         lines.append(f"readout {v} {row} {column}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, groupby, islice
+from itertools import chain, compress, groupby, islice
 from operator import le, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -489,11 +489,6 @@ def board_engine(board: Board) -> tuple[tuple[Coord, ...], BoundedCounts]:
                                  [con.hi for con in cons])
 
 
-def _as_coloring(coords: Sequence[Coord], values: Sequence[int]) -> Coloring:
-    blacks = frozenset(coords[i] for i in range(len(coords)) if values[i])
-    return Coloring(frozenset(coords), blacks)
-
-
 def _seed_values(board: Board, partial: Mapping[Coord, str],
                  coords: Sequence[Coord]) -> list[tuple[int, int]]:
     # `coords` is sorted, so a circle's variable index is its bisection point
@@ -542,7 +537,10 @@ def enumerate(board: Board, cap: int) -> SolveOutcome:
         status = SolveStatus.SAT
     else:
         status = SolveStatus.UNSAT
-    solutions = tuple(_as_coloring(coords, values) for values in found)
+    # one cells set serves every solution; frozensets are immutable
+    cells = frozenset(coords)
+    solutions = tuple(Coloring(cells, frozenset(compress(coords, values)))
+                      for values in found)
     return SolveOutcome(status, solutions, nodes)
 
 

@@ -361,5 +361,5 @@ def write_one_in_three(instance: OneInThreeInstance) -> str:
     """Canonical `.c13` text, literals sorted by variable."""
     lines = [f"p 1in3 {instance.nvars} {len(instance.clauses)}"]
     for clause in instance.clauses:
-        lines.append(" ".join(str(lit.to_int()) for lit in clause) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"

@@ -287,6 +287,25 @@ def test_reduce_writes_no_board_when_the_map_cannot_be_written(capsys,
     assert (code, out) == (2, "")
 
 
+def test_one_path_cannot_take_two_outputs(capsys, tmp_path):
+    target = tmp_path / "out"
+    same = tmp_path / "sub" / ".." / "out"
+    (tmp_path / "sub").mkdir()
+    for board, cells in ((target, target), (target, same)):
+        code, out, err = run(capsys, "reduce", CNF, "-o", str(board),
+                             "--map", str(cells))
+        assert (code, out) == (2, "")
+        assert err == (f"cannot write {cells}: one path cannot take two "
+                       "outputs\n")
+        assert not target.exists()
+
+    target.write_text("kept\n")
+    code, _, _ = run(capsys, "reduce", CNF, "-o", str(target),
+                     "--map", str(target))
+    assert code == 2
+    assert target.read_text() == "kept\n"
+
+
 BASE_MODULES = ["oredango", "oredango.cli", "oredango.core",
                 "oredango.solver", "oredango.textio"]
 

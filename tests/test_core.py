@@ -212,10 +212,10 @@ def test_report_empty_iff_counts_in_window():
         coloring = Coloring(frozenset(coords),
                             frozenset(c for c in coords if rng.random() < 0.5))
         clues_ok = all(
-            coloring.count_black(path) == board.clue_of(path)
+            len(coloring.blacks.intersection(path)) == board.clue_of(path)
             for path in board.skewers if board.clue_of(path) is not None)
         triples_ok = all(
-            coloring.count_black(w) in (1, 2)
+            len(coloring.blacks.intersection(w)) in (1, 2)
             for w in triple_index(board).all_triples())
         assert check_coloring(board, coloring).ok == (clues_ok and triples_ok)
 

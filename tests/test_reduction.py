@@ -7,7 +7,7 @@ import pytest
 from conftest import fixture_text
 from oredango import reduction, solver, textio
 from oredango.core import Coloring, check_coloring
-from oredango.reduction import Literal, ReductionError
+from oredango.reduction import ReductionError
 from oracles import random_instance, sized_instance
 
 THREE_CLAUSE_MAP = """\
@@ -32,19 +32,13 @@ def three_clause():
     return textio.parse_one_in_three(fixture_text("three-clauses.c13"))
 
 
-def test_literal_helpers():
-    lit = Literal(3, True)
-    assert lit.to_int() == -3
-    assert lit.complement() == Literal(3, False)
-    assert lit.value((0, 0, 0)) == 1
-    assert lit.value((0, 0, 1)) == 0
-    assert Literal(2) < Literal(2, True) < Literal(3)
+def test_clauses_are_int_tuples_sorted_by_variable():
+    assert reduction.one_in_three(4, [(-3, 1, 2)]).clauses == ((1, 2, -3),)
 
 
 def test_factory_normalizes_and_rejects():
     instance = reduction.one_in_three(4, [(-3, 1, 2), (4, -2, 1)])
-    assert instance.clauses[0] == (Literal(1), Literal(2), Literal(3, True))
-    assert instance.clauses[1] == (Literal(1), Literal(2, True), Literal(4))
+    assert instance.clauses == ((1, 2, -3), (1, -2, 4))
 
     with pytest.raises(ReductionError, match="zero literal"):
         reduction.one_in_three(3, [(1, 0, 2)])
@@ -78,7 +72,7 @@ def test_random_instance_returns_when_variables_outnumber_clauses():
     for args in ((7, 7), (12, 5)):
         for _ in range(200):
             instance = random_instance(rng, *args)
-            used = {lit.var for clause in instance.clauses for lit in clause}
+            used = {abs(lit) for clause in instance.clauses for lit in clause}
             assert used == set(range(1, instance.nvars + 1))
 
 
@@ -88,7 +82,7 @@ def test_sized_instance_returns_when_clauses_barely_cover_the_variables(
     # 150 literal places for 80 variables: plain rejection sampling
     # ran for minutes here
     instance = sized_instance(random.Random(1), 80, 50, planted)
-    used = {lit.var for clause in instance.clauses for lit in clause}
+    used = {abs(lit) for clause in instance.clauses for lit in clause}
     assert (used, len(instance.clauses)) == (set(range(1, 81)), 50)
     with pytest.raises(ValueError, match="3 clauses cannot use 10 variables"):
         sized_instance(random.Random(1), 10, 3, planted)
@@ -101,14 +95,22 @@ def test_reduce_rejects_degenerate_instances():
         reduction.reduce(reduction.OneInThreeInstance(0, ()))
     with pytest.raises(ReductionError, match=r"in no clause: \[4\]"):
         reduction.reduce(reduction.one_in_three(4, [(1, 2, 3)]))
-    crooked = reduction.OneInThreeInstance(
-        3, ((Literal(1), Literal(1, True), Literal(2)),))
+    crooked = reduction.OneInThreeInstance(3, ((1, -1, 2),))
     with pytest.raises(ReductionError, match="three distinct"):
         reduction.reduce(crooked)
-    beyond = reduction.OneInThreeInstance(
-        2, ((Literal(1), Literal(2), Literal(3)),))
+    beyond = reduction.OneInThreeInstance(2, ((1, 2, 3),))
     with pytest.raises(ReductionError, match="beyond 2"):
         reduction.reduce(beyond)
+
+
+def test_reduce_takes_directly_built_unsorted_clauses():
+    raw = ((-3, 2, 1), (4, -1, 3), (-4, 2, -3))
+    direct = reduction.reduce(reduction.OneInThreeInstance(4, raw))
+    normalized = reduction.reduce(reduction.one_in_three(4, raw))
+    assert textio.write_board(direct.board) \
+        == textio.write_board(normalized.board)
+    assert reduction.format_reduction_map(direct) \
+        == reduction.format_reduction_map(normalized)
 
 
 def test_reduced_board_dimensions(three_clause):
@@ -147,8 +149,8 @@ def test_layout_tags(three_clause):
     assert kinds.count("band") == 4 and kinds.count("spacer") == 4
     assert meta.col_tags[1] == ("anchor", "left")
     assert meta.col_tags[17] == ("anchor", "right")
-    assert meta.col_tags[6] == ("lit", Literal(2))
-    assert meta.col_tags[7] == ("lit", Literal(2, True))
+    assert meta.col_tags[6] == ("lit", 2)
+    assert meta.col_tags[7] == ("lit", -2)
     assert meta.col_tags[8] == ("black_sep", 2)
     assert meta.col_tags[9] == ("white_sep", 2)
 
@@ -164,8 +166,8 @@ def test_two_clause_layout_needs_no_spacers():
 def test_literal_cells_and_readout(three_clause):
     reduced = reduction.reduce(three_clause)
     assert reduction.format_reduction_map(reduced) == THREE_CLAUSE_MAP
-    assert reduced.literal_cells[(1, Literal(1))] == (1, 2)
-    assert reduced.literal_cells[(2, Literal(1, True))] == (5, 3)
+    assert reduced.literal_cells[(1, 1)] == (1, 2)
+    assert reduced.literal_cells[(2, -1)] == (5, 3)
     assert reduced.variable_readout == {1: (3, 3), 2: (3, 7),
                                         3: (3, 11), 4: (3, 15)}
     for (i, lit), (row, column) in reduced.literal_cells.items():
@@ -178,8 +180,7 @@ def test_single_clause_is_doubled():
     reduced = reduction.reduce(instance)
     assert reduced.layout_meta.nclauses == 2
     assert reduced.board.rows == 6
-    assert set(reduced.literal_cells) == {(1, Literal(1)), (1, Literal(2)),
-                                          (1, Literal(3))}
+    assert set(reduced.literal_cells) == {(1, 1), (1, 2), (1, 3)}
     outcome = solver.enumerate(reduced.board, cap=10)
     assert len(outcome.solutions) == 3
 
@@ -229,6 +230,9 @@ def test_enumerate_assignments(three_clause):
     wide = reduction.OneInThreeInstance(25, ())
     with pytest.raises(ReductionError, match="24 variables"):
         reduction.enumerate_assignments(wide)
+    zero = reduction.OneInThreeInstance(3, ((1, 2, 3), (0, 1, 2)))
+    with pytest.raises(ReductionError, match="clause 2: zero literal"):
+        reduction.enumerate_assignments(zero)
 
 
 def test_verify_reduction_passes(three_clause):
@@ -264,8 +268,7 @@ def test_duplicated_clause_instance():
     reduced = reduction.reduce(twice)
     assert len(solver.enumerate(reduced.board, cap=10).solutions) == 3
     assert set(reduced.literal_cells) == {
-        (1, Literal(1)), (1, Literal(2)), (1, Literal(3)),
-        (2, Literal(1)), (2, Literal(2)), (2, Literal(3))}
+        (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)}
 
 
 def test_verify_reduction_doubled_clause():

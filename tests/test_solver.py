@@ -332,5 +332,5 @@ def test_reimplication_keeps_n24_search_small():
     (coloring,) = out.solutions
     assert check_coloring(reduced.board, coloring).ok
     values = reduction.coloring_to_assignment(reduced, coloring)
-    assert all(sum(lit.value(values) for lit in clause) == 1
+    assert all(sum(values[abs(lit) - 1] ^ (lit < 0) for lit in clause) == 1
                for clause in instance.clauses)

@@ -159,8 +159,7 @@ def test_parse_coloring_misplaced_marks(sample_board):
 def test_c13_parse_and_round_trip():
     instance = textio.parse_one_in_three(fixture_text("three-clauses.c13"))
     assert instance.nvars == 4
-    assert [[lit.to_int() for lit in clause] for clause in instance.clauses] \
-        == [[1, 2, 3], [-1, 3, 4], [2, -3, -4]]
+    assert instance.clauses == ((1, 2, 3), (-1, 3, 4), (2, -3, -4))
     text = textio.write_one_in_three(instance)
     assert text == "p 1in3 4 3\n1 2 3 0\n-1 3 4 0\n2 -3 -4 0\n"
     assert textio.parse_one_in_three(text) == instance
@@ -168,7 +167,7 @@ def test_c13_parse_and_round_trip():
 
 def test_c13_normalizes_literal_order():
     instance = textio.parse_one_in_three("p 1in3 3 1\n3 -1 2 0\n")
-    assert [lit.to_int() for lit in instance.clauses[0]] == [-1, 2, 3]
+    assert instance.clauses[0] == (-1, 2, 3)
 
 
 def test_c13_random_round_trip():
