@@ -22,17 +22,22 @@ Coordinates are 1-based (row, col) pairs counted from the top-left cell.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import (accumulate, chain, compress, count, groupby, islice,
+                       repeat)
+from operator import eq, getitem, gt, itemgetter, or_, sub
+from typing import (Iterable, Iterator, Mapping, NamedTuple, Sequence,
+                    TypeVar)
 
 BLACK = "B"
 WHITE = "W"
 
 Coord = tuple[int, int]
 Triple = tuple[Coord, Coord, Coord]
+_T = TypeVar("_T")
 
 
 class BoardError(ValueError):
@@ -68,6 +73,46 @@ class Constraint(NamedTuple):
 
 
 @dataclass(frozen=True)
+class Rules:
+    """Rules A-D of one board as flat integer arrays.  Read it through
+    `Board.rules`; callers must not mutate the arrays.
+
+    Entry e bounds the black count over the circles
+    `cells[starts[e]:starts[e + 1]]` to [`lo[e]`, `hi[e]`]; a circle is
+    named by its index in `Board.row_major`, and the entry lists it in
+    skewer, row or column order.  `runs` tags the entries line by line as
+    (rule, index, first entry, count): one run per clued skewer for rule
+    A, one per skewer, row or column with a window for rules B, C and D,
+    whose entry `first + w - 1` is window w.  `rule` and `index` read as
+    in `Violation`.
+    """
+
+    cells: array
+    starts: array
+    lo: array
+    hi: array
+    runs: tuple[tuple[str, int, int, int], ...]
+
+    @cached_property
+    def _shape(self) -> list[tuple[int, int]]:
+        # (size, count) of each run of equal-sized entries
+        starts = self.starts
+        return [(size, len(list(run)))
+                for size, run in groupby(map(sub, starts[1:], starts))]
+
+    def entries(self, flat: Iterable[_T]) -> list[tuple[_T, ...]]:
+        """`flat`, one item per element of `cells`, cut into one tuple
+        per entry."""
+        flat = iter(flat)
+        found: list[tuple[_T, ...]] = []
+        # zip over `size` references to one iterator takes `size` items at
+        # a time (no entry is empty)
+        for size, run in self._shape:
+            found += islice(zip(*[flat] * size), run)
+        return found
+
+
+@dataclass(frozen=True)
 class Board:
     """Immutable puzzle instance.  Construct through `build_board`.
 
@@ -99,40 +144,81 @@ class Board:
         return None
 
     @cached_property
-    def constraints(self) -> tuple[Constraint, ...]:
-        """Rules A-D as count bounds: rule A by clued skewer, then the
-        windows of rule B by skewer, C by row and D by column.
+    def rules(self) -> Rules:
+        """Rules A-D as one flat store of bounded black counts: rule A by
+        clued skewer, then the windows of rule B by skewer, C by row and D
+        by column.
 
         Built once per board; the checker, the search engine and the 0-1
-        model all read it.  Lines are grouped from the circles themselves,
-        so the cost grows with the circle count, not with the header.  A
-        row, column or skewer with fewer than three circles is passed over
-        before any window work, and a loner's clue is read straight from
-        its circle, so boards made mostly of loners and pairs, as reduced
-        boards are, cost little beyond their windows.
+        model all read it, and nothing else.  Lines are grouped from the
+        circles themselves, so the cost grows with the circle count, not
+        with the header.  Windows are found by one comparison per circle
+        over each rule's lines laid end to end, and a loner's clue is read
+        straight from its circle, so boards made mostly of loners and
+        pairs, as reduced boards are, cost little beyond their windows.
         """
-        # Constraint._make without its Python-level length check
-        new = tuple.__new__
+        coords = self.row_major
         circles = self.circles
-        found = []
-        add = found.append
+        index = dict(zip(coords, range(len(coords))))
+        runs: list[tuple[str, int, int, int]] = []
+        paths: list[tuple[Coord, ...]] = []
+        clues: list[int] = []
         for k, path in enumerate(self.skewers, start=1):
             clue = (circles[path[0]] if len(path) == 1
                     else self.clue_of(path))
             if clue is not None:
-                add(new(Constraint, ("A", k, None, path, clue, clue)))
-        by_row = self.row_major
-        # stable, so each column keeps its circles top to bottom
-        by_col = sorted(by_row, key=itemgetter(1))
-        lines = chain(
-            (("B", k, path) for k, path in enumerate(self.skewers, start=1)),
-            (("C", r, list(line)) for r, line in groupby(by_row, itemgetter(0))),
-            (("D", c, list(line)) for c, line in groupby(by_col, itemgetter(1))))
-        for rule, i, line in lines:
-            if len(line) < 3:
-                continue
-            for w, cells in enumerate(zip(line, line[1:], line[2:]), start=1):
-                add(new(Constraint, (rule, i, w, cells, 1, 2)))
+                runs.append(("A", k, len(clues), 1))
+                paths.append(path)
+                clues.append(clue)
+        flat = list(map(index.__getitem__, chain.from_iterable(paths)))
+        starts = array("i", list(accumulate(map(len, paths), initial=0)))
+        # Each rule's lines, concatenated: circle indices in line order,
+        # and beside each its line number.  Row-major order runs row by
+        # row; a stable sort by column keeps each column top to bottom.
+        long = [(k, path) for k, path in enumerate(self.skewers, start=1)
+                if len(path) > 2]
+        col_of = list(map(itemgetter(1), coords))
+        by_col = sorted(range(len(coords)), key=col_of.__getitem__)
+        first = len(clues)
+        for rule, line, line_of in (
+                ("B", [index[c] for _, path in long for c in path],
+                 [k for k, path in long for _ in path]),
+                ("C", range(len(coords)), list(map(itemgetter(0), coords))),
+                ("D", by_col, list(map(col_of.__getitem__, by_col)))):
+            # A window opens at position j when j and j + 2 share a line,
+            # so lines of fewer than three circles open none.
+            opens = list(map(eq, line_of, line_of[2:]))
+            flat += chain.from_iterable(zip(compress(line, opens),
+                                            compress(line[1:], opens),
+                                            compress(line[2:], opens)))
+            for i, starting in groupby(compress(line_of, opens)):
+                n = len(list(starting))
+                runs.append((rule, i, first, n))
+                first += n
+        windows = first - len(clues)
+        starts.extend(range(starts[-1] + 3, len(flat) + 1, 3))
+        bounds = array("i", clues)
+        return Rules(array("i", flat), starts,
+                     bounds + array("i", [1]) * windows,
+                     bounds + array("i", [2]) * windows, tuple(runs))
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """`rules` decoded to one `Constraint` per entry, in its order.
+
+        A view for callers that want coordinates; no library path reads
+        it, so it is built only when asked for.
+        """
+        rules = self.rules
+        cells = rules.entries(map(self.row_major.__getitem__, rules.cells))
+        # Constraint._make without its Python-level length check
+        new = tuple.__new__
+        found = []
+        for rule, i, first, n in rules.runs:
+            for e, w in zip(range(first, first + n), range(1, n + 1)):
+                found.append(new(Constraint, (
+                    rule, i, None if rule == "A" else w, cells[e],
+                    rules.lo[e], rules.hi[e])))
         return tuple(found)
 
 
@@ -340,8 +426,8 @@ def triple_index(board: Board) -> TripleIndex:
     A reference listing, kept for callers that want windows by line
     number: by its shape it builds one list per header row and column, so
     it costs O(rows + cols) however few circles there are.  No library
-    path calls it; `Board.constraints` groups the same windows from the
-    circles alone.
+    path calls it; `Board.rules` groups the same windows from the circles
+    alone.
     """
     by_row: list[list[Coord]] = [[] for _ in range(board.rows)]
     by_col: list[list[Coord]] = [[] for _ in range(board.cols)]
@@ -360,20 +446,35 @@ def triple_index(board: Board) -> TripleIndex:
 def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
     """Check a total coloring against rules A-D.
 
-    The report lists the broken entries of `board.constraints` in order.
-    An empty report means the coloring solves the board.
+    The report lists the broken entries of `board.rules` in order, which
+    is the order of `board.constraints`.  Black counts are taken over one
+    flag per circle; coordinates are decoded only for the entries
+    reported.  An empty report means the coloring solves the board.
     """
-    if coloring.cells != frozenset(board.circles):
+    if board.circles.keys() != coloring.cells:
         missing = sorted(frozenset(board.circles) - coloring.cells)
         extra = sorted(coloring.cells - frozenset(board.circles))
         raise ColoringError(
             f"coloring domain mismatch: missing {missing}, extra {extra}")
 
-    is_black = coloring.blacks.__contains__
-    found: list[Violation] = []
-    for rule, index, window, cells, lo, hi in board.constraints:
-        blacks = sum(map(is_black, cells))
-        if not lo <= blacks <= hi:
-            found.append(Violation(rule, index, window, cells, blacks, lo, hi))
-
+    coords = board.row_major
+    rules = board.rules
+    flags = bytes(map(coloring.blacks.__contains__, coords))
+    counts = list(map(sum, rules.entries(
+        map(getitem, repeat(flags), rules.cells))))
+    lo, hi = rules.lo, rules.hi
+    broken = list(compress(count(), map(or_, map(gt, lo, counts),
+                                        map(gt, counts, hi))))
+    if not broken:
+        return ViolationReport()
+    runs = rules.runs
+    firsts = [first for _, _, first, _ in runs]
+    found = []
+    for e in broken:
+        rule, index, first, _ = runs[bisect_right(firsts, e) - 1]
+        cells = tuple(map(coords.__getitem__,
+                          rules.cells[rules.starts[e]:rules.starts[e + 1]]))
+        found.append(Violation(rule, index,
+                               None if rule == "A" else e - first + 1,
+                               cells, counts[e], lo[e], hi[e]))
     return ViolationReport(tuple(found))

@@ -1,14 +1,16 @@
 """0-1 integer model of a board, LP-format export, and feasibility check.
 
 One binary variable per circle, 1 meaning black, and one row per entry of
-`Board.constraints`, bounding the sum of its variables.  The objective
-minimizes the total black count but carries no meaning here: any feasible
-point is a puzzle solution and vice versa.
+the board's flat rule store `Board.rules`, bounding the sum of its
+variables.  The objective minimizes the total black count but carries no
+meaning here: any feasible point is a puzzle solution and vice versa.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .core import BLACK, WHITE, Board, Coloring, Coord
@@ -47,22 +49,29 @@ _ROW_PREFIX = {"A": "sk", "B": "tb", "C": "tr", "D": "tc"}
 def build_model(board: Board) -> LinearModel:
     """Assemble the 0-1 model of a board.
 
-    One constraint per entry of `board.constraints`, in order, named
-    `sk<r>` for rule A on skewer r and `tb`, `tr` or `tc<i>_<w>` for
-    window w of rule B, C or D on line i.
+    One constraint per entry of `board.rules`, in order, named `sk<r>`
+    for rule A on skewer r and `tb`, `tr` or `tc<i>_<w>` for window w of
+    rule B, C or D on line i.  Row names are made once per run of
+    entries, and terms are cut from one name per circle.
     """
     coords = board.row_major
-    names = dict(zip(coords, map(variable_name, coords)))
-    name_of = names.__getitem__
+    names = list(map(variable_name, coords))
+    rules = board.rules
+    # one "_<w>" string per window number, shared by every line
+    longest = max(map(itemgetter(3), rules.runs), default=0)
+    suffixes = [f"_{w}" for w in range(1, longest + 1)]
+    rows: list[str] = []
+    for rule, index, _, count in rules.runs:
+        prefix = f"{_ROW_PREFIX[rule]}{index}"
+        if rule == "A":
+            rows.append(prefix)
+        else:
+            rows += [prefix + suffix for suffix in suffixes[:count]]
+    terms = rules.entries(map(names.__getitem__, rules.cells))
     # LinearConstraint._make without its Python-level length check
-    new = tuple.__new__
-    constraints = tuple(
-        new(LinearConstraint, (
-            f"{_ROW_PREFIX[rule]}{index}" if window is None
-            else f"{_ROW_PREFIX[rule]}{index}_{window}",
-            tuple(map(name_of, cells)), lo, hi))
-        for rule, index, window, cells, lo, hi in board.constraints)
-    variables = tuple(zip(names.values(), coords))
+    constraints = tuple(map(tuple.__new__, repeat(LinearConstraint),
+                            zip(rows, terms, rules.lo, rules.hi)))
+    variables = tuple(zip(names, coords))
     return LinearModel(variables, constraints, (1,) * len(variables))
 
 

@@ -56,10 +56,19 @@ Clause = tuple[int, int, int]
 @dataclass(frozen=True)
 class OneInThreeInstance:
     """Normalized instance: each clause a tuple of three signed literals
-    sorted by variable (`sorted(literals, key=abs)`)."""
+    sorted by variable (`sorted(literals, key=abs)`).
+
+    Clauses are sorted on construction, so an instance built directly
+    equals the one `one_in_three` builds from the same clauses.  The
+    literals are checked by `one_in_three` and `reduce`, not here.
+    """
 
     nvars: int
     clauses: tuple[Clause, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "clauses", tuple(
+            tuple(sorted(clause, key=abs)) for clause in self.clauses))
 
 
 def clause_findings(clause: Sequence[int], nvars: int) -> list[tuple[int, str]]:
@@ -90,11 +99,11 @@ def one_in_three(nvars: int,
     """Build a normalized instance from clauses of signed literals."""
     if nvars < 0:
         raise ReductionError("variable count cannot be negative")
-    normalized: list[Clause] = []
+    normalized: list[list[int]] = []
     for pos, raw in enumerate(clauses, start=1):
         ints = [int(lit) for lit in raw]
         _check_clause(pos, ints, nvars)
-        normalized.append(tuple(sorted(ints, key=abs)))
+        normalized.append(ints)
     return OneInThreeInstance(nvars, tuple(normalized))
 
 

@@ -1,19 +1,20 @@
 """Complete solver and propagation engine for Oredango boards.
 
-`Board.constraints` lists every puzzle rule as a two-sided bound on a
-black count, so the search below works on a single constraint shape,
-`sum of 0-1 variables within [lo, hi]`.  `BoundedCounts` propagates those
-bounds with slack counters and searches depth-first on the first
-unassigned circle in row-major order, black before white.  Each conflict
-teaches it a clause (a nogood implied by the bounds).  It then backtracks
-chronologically (Nadel & Ryvchin, "Chronological Backtracking", SAT 2018):
-it undoes only the conflict level and asserts the clause at the level
-below, and when a later backtrack removes such an assertion while its
-clause still forces it, it sets it again (re-implication, after Möhle &
-Biere, "Backing Backtracking", SAT 2019).  It never undoes a decision
-whose subtree has already produced a solution.  So solutions still come
-out in lexicographic order (black sorts before white), each once, and
-node counts are reproducible.
+`Board.rules` stores every puzzle rule as a two-sided bound on a black
+count over circle indices, so the search below works on a single
+constraint shape, `sum of 0-1 variables within [lo, hi]`.
+`BoundedCounts` propagates those bounds with slack counters and searches
+depth-first on the first unassigned circle in row-major order, black
+before white.  Each conflict teaches it a clause (a nogood implied by
+the bounds).  It then backtracks chronologically (Nadel & Ryvchin,
+"Chronological Backtracking", SAT 2018): it undoes only the conflict
+level and asserts the clause at the level below, and when a later
+backtrack removes such an assertion while its clause still forces it, it
+sets it again (re-implication, after Möhle & Biere, "Backing
+Backtracking", SAT 2019).  It never undoes a decision whose subtree has
+already produced a solution.  So solutions still come out in
+lexicographic order (black sorts before white), each once, and node
+counts are reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, groupby, islice
+from itertools import compress
 from operator import le, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -471,22 +472,12 @@ class BoundedCounts:
 
 
 def board_engine(board: Board) -> tuple[tuple[Coord, ...], BoundedCounts]:
-    """Index a board's circles row-major and wrap `board.constraints` as
-    count groups over those indices."""
+    """Index a board's circles row-major and wrap `board.rules` as count
+    groups over those indices."""
     coords = board.row_major
-    index = dict(zip(coords, range(len(coords))))
-    cons = board.constraints
-    cells = [con.cells for con in cons]
-    # Look every cell up in one pass, then cut the indices back into
-    # groups: zip over `size` references to one iterator takes `size` at a
-    # time, once per run of equal-sized entries (none is empty).
-    flat = map(index.__getitem__, chain.from_iterable(cells))
-    members: list[tuple[int, ...]] = []
-    for size, run in groupby(map(len, cells)):
-        members += islice(zip(*[flat] * size), len(list(run)))
-    return coords, BoundedCounts(len(coords), members,
-                                 [con.lo for con in cons],
-                                 [con.hi for con in cons])
+    rules = board.rules
+    return coords, BoundedCounts(len(coords), rules.entries(rules.cells),
+                                 rules.lo, rules.hi)
 
 
 def _seed_values(board: Board, partial: Mapping[Coord, str],

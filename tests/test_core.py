@@ -9,7 +9,7 @@ from conftest import fixture_text
 from oredango import ilp, reduction, solver, textio
 from oredango.core import (BLACK, WHITE, BoardError, Coloring, ColoringError,
                            build_board, check_coloring, triple_index)
-from oredango.core import Constraint
+from oredango.core import Constraint, Violation
 from oracles import random_board, sized_instance
 
 PUBLISHED_BLACKS = [(1, 2), (1, 4), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3),
@@ -337,11 +337,15 @@ def test_constraints_cost_follows_circles_not_header():
     board = build_board(side, side, sorted(set(row + col)))
     tracemalloc.start()
     try:
+        rules = board.rules
+        rules_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         found = board.constraints
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 1024
+    assert rules_peak < 64 * 1024 and peak < 64 * 1024
+    assert rules.runs == (("C", mid, 0, 1), ("D", mid, 1, 1))
     assert found == (Constraint("C", mid, 1, tuple(row), 1, 2),
                      Constraint("D", mid, 1, tuple(col), 1, 2))
 
@@ -352,3 +356,75 @@ def test_constraints_cost_follows_circles_not_header():
     assert solver.propagate(board, {(mid, mid): BLACK}) is not None
     assert "tr500000_1" in ilp.export_lp(ilp.build_model(board))
     assert time.perf_counter() - start < 1.0
+
+
+def random_coloring(rng, board):
+    coords = board.row_major
+    return coloring_of(board, [c for c in coords if rng.random() < 0.5])
+
+
+def listed_violations(board, coloring):
+    """The report `listed_constraints` gives: every entry whose black
+    count lies outside [lo, hi], in order."""
+    found = []
+    for rule, index, window, cells, lo, hi in listed_constraints(board):
+        blacks = sum(cell in coloring.blacks for cell in cells)
+        if not lo <= blacks <= hi:
+            found.append(Violation(rule, index, window, cells, blacks, lo, hi))
+    return tuple(found)
+
+
+def test_violations_match_an_independent_listing():
+    rng = random.Random(61)
+    for _ in range(150):
+        board = random_board(rng)
+        coloring = random_coloring(rng, board)
+        assert check_coloring(board, coloring).violations \
+            == listed_violations(board, coloring)
+
+
+def test_violations_match_an_independent_listing_in_wide_headers():
+    rng = random.Random(62)
+    for _ in range(100):
+        board = random_board(rng, max_circles=20, max_side=7)
+        rows = rng.randint(board.rows, 5000)
+        cols = rng.randint(board.cols, 5000)
+        moved = shifted(board, rows, cols, rng.randint(0, rows - board.rows),
+                        rng.randint(0, cols - board.cols))
+        coloring = random_coloring(rng, moved)
+        assert check_coloring(moved, coloring).violations \
+            == listed_violations(moved, coloring)
+
+
+@pytest.mark.parametrize("flips", [0, 1, 3, 12])
+def test_violations_match_an_independent_listing_on_reduced_boards(flips):
+    rng = random.Random(630 + flips)
+    broken = 0
+    for _ in range(6):
+        nvars = rng.randint(3, 8)
+        instance = sized_instance(rng, nvars, rng.randint(nvars // 2 + 1, 8),
+                                  planted=True)
+        reduced = reduction.reduce(instance)
+        board = reduced.board
+        planted = reduction.assignment_to_coloring(
+            reduced, reduction.enumerate_assignments(instance)[0])
+        flipped = set(rng.sample(board.row_major, flips))
+        coloring = coloring_of(board, planted.blacks ^ flipped)
+        report = check_coloring(board, coloring)
+        assert report.violations == listed_violations(board, coloring)
+        broken += len(report)
+    assert (broken == 0) == (flips == 0)
+
+
+def test_library_paths_never_decode_the_constraints_view():
+    rng = random.Random(64)
+    instance = sized_instance(rng, 5, 5, planted=True)
+    boards = [random_board(rng) for _ in range(30)]
+    boards.append(reduction.reduce(instance).board)
+    for board in boards:
+        solver.solve(board)
+        solver.enumerate(board, 3)
+        solver.propagate(board, {})
+        check_coloring(board, random_coloring(rng, board))
+        ilp.export_lp(ilp.build_model(board))
+        assert "constraints" not in vars(board)

@@ -1,8 +1,10 @@
 """The package's public surface, seen from a fresh interpreter."""
 
+import ast
 import json
+import sys
 
-from conftest import fresh_python
+from conftest import SRC, fresh_python
 
 SURFACE_PROBE = """
 import json, sys
@@ -35,3 +37,18 @@ def test_star_import_dir_and_missing_names():
         "unlisted": [], "mismatched": [],
         "missing": ["AttributeError",
                     "module 'oredango' has no attribute 'nope'"]}
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path in sorted((SRC / "oredango").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -113,6 +113,14 @@ def test_reduce_takes_directly_built_unsorted_clauses():
         == reduction.format_reduction_map(normalized)
 
 
+def test_directly_built_instance_sorts_its_clauses():
+    raw = ((-3, 2, 1), (4, -1, 3), (-4, 2, -3))
+    direct = reduction.OneInThreeInstance(4, raw)
+    assert direct == reduction.one_in_three(4, raw)
+    assert textio.write_one_in_three(direct) \
+        == "p 1in3 4 3\n1 2 -3 0\n-1 3 4 0\n2 -3 -4 0\n"
+
+
 def test_reduced_board_dimensions(three_clause):
     reduced = reduction.reduce(three_clause)
     assert (reduced.board.rows, reduced.board.cols) == (14, 17)
