@@ -52,9 +52,12 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
 
     Two paths that resolve to one file exit 2 before anything is touched.
     Every path is opened before any text is written, in append mode, which
-    creates a missing file and changes no existing one.  When one cannot be
-    opened, the files this call created are removed again, so a run that
-    exits 2 leaves none of its outputs behind.
+    creates a missing file and changes no existing one, and every file is
+    written before stdout.  When one cannot be opened or written, the files
+    this call created are removed again, so a run that exits 2 leaves none
+    of its outputs behind and prints nothing.  A file that existed before
+    the run is not restored: one written before the failure keeps its new
+    text, and the one whose write failed may be left empty or cut short.
     """
     named: set[Path] = set()
     for _, output in outputs:
@@ -64,27 +67,24 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
                 raise _Fail(2, f"cannot write {output}: one path cannot "
                                "take two outputs")
             named.add(target)
+    files = [(text, output) for text, output in outputs if output is not None]
     created: list[Path] = []
-    for _, output in outputs:
-        if output is not None:
+    try:
+        for _, output in files:
             path = Path(output)
             existed = path.exists()
-            try:
-                path.open("a").close()
-            except OSError as err:
-                for made in created:
-                    made.unlink(missing_ok=True)
-                raise _Fail(2, f"cannot write {output}: {err}") from err
+            path.open("a").close()
             if not existed:
                 created.append(path)
+        for text, output in files:
+            Path(output).write_text(text)
+    except OSError as err:
+        for made in created:
+            made.unlink(missing_ok=True)
+        raise _Fail(2, f"cannot write {output}: {err}") from err
     for text, output in outputs:
         if output is None:
             sys.stdout.write(text)
-        else:
-            try:
-                Path(output).write_text(text)
-            except OSError as err:
-                raise _Fail(2, f"cannot write {output}: {err}") from err
 
 
 def _check_grid(board: core.Board) -> None:

@@ -6,12 +6,11 @@ constraint shape, `sum of 0-1 variables within [lo, hi]`.
 `BoundedCounts` propagates those bounds with slack counters and searches
 depth-first on the first unassigned circle in row-major order, black
 before white.  Each conflict teaches it a clause (a nogood implied by
-the bounds).  It then backtracks chronologically (Nadel & Ryvchin,
-"Chronological Backtracking", SAT 2018): it undoes only the conflict
-level and asserts the clause at the level below, and when a later
-backtrack removes such an assertion while its clause still forces it, it
-sets it again (re-implication, after Möhle & Biere, "Backing
-Backtracking", SAT 2019).  It never undoes a decision whose subtree has
+the bounds).  Every set circle carries its true decision level, and the
+search backtracks chronologically (Nadel & Ryvchin, "Chronological
+Backtracking", SAT 2018): it undoes only the conflict level, keeps each
+circle of a lower level as it stands and asserts the clause at the
+clause's own level, but never undoes a decision whose subtree has
 already produced a solution.  So solutions still come out in
 lexicographic order (black sorts before white), each once, and node
 counts are reproducible.
@@ -19,7 +18,7 @@ counts are reproducible.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -73,29 +72,33 @@ class BoundedCounts:
     are still accepted by the groups alone: a clause propagation missed
     costs pruning, never correctness.
 
-    After learning, the search undoes only the conflict level and asserts
-    the clause's first literal at the level below, even when the clause's
-    asserting level (that of its deepest other literal) is lower; this
-    chronological backtracking (Nadel & Ryvchin, SAT 2018) keeps the
-    decisions below, which lexicographic branching would otherwise make
-    again one by one.  An assertion made above its asserting level is
-    recorded.  When a later backtrack removes it, the clause's other
-    literals survive, so it is set again from the clause before any new
-    decision (re-implication, after Möhle & Biere, SAT 2019); without
-    that, lost assertions come back only as duplicate learned clauses.
+    Every set variable carries its true decision level: a decision takes
+    the current level and the root is level 0; a variable forced by a group
+    or a clause takes the highest level among the group's members holding
+    the spent value or the clause's other literals; an asserted literal
+    takes its clause's asserting level.  Undoing level k removes only the
+    trail entries above k and refunds their counters; every other entry
+    keeps its value, spend and trail order, and a group this leaves
+    saturated forces nothing anew (the counters still refuse an overspend).
+    A conflict's level is the highest among its literals, and 1-UIP runs
+    over that level's literals only.  The search then undoes only the
+    conflict level and asserts the clause's first literal at its asserting
+    level, even when levels in between stand; this chronological
+    backtracking (Nadel & Ryvchin, SAT 2018) keeps the decisions below,
+    which lexicographic branching would otherwise make again one by one.
 
     The conflict level is undone only when its subtree has emitted no
     solution.  That subtree then covered only ground without solutions,
     so searching the level below again under the asserted literal repeats
     no solution, and since the clause holds in every solution it skips
     none.  Otherwise the level's branch is spent, and the search steps
-    back as plain depth-first search does: it pops the level, re-implies
-    and propagates, then flips the popped decision to 0 if its variable is
+    back as plain depth-first search does: it pops the level and
+    propagates, then flips the popped decision to 0 if its variable is
     still open, takes the 0 as given if propagation set it, and pops on
     if propagation set it to 1 or the 0 branch was the one just spent.
     Every literal set without a decision is implied by the groups and the
-    decisions still on the trail, so solutions, their order and the cap
-    semantics are those of plain depth-first search.
+    decisions at or below its level, so solutions, their order and the
+    cap semantics are those of plain depth-first search.
     """
 
     def __init__(self, nvars: int, members: Sequence[Sequence[int]],
@@ -117,32 +120,36 @@ class BoundedCounts:
     # A literal is the int 2 * var + value; its negation is `lit ^ 1`.
 
     def _start(self) -> None:
-        # Propagation state, shared by `deduce` and `run`.  `reason[v]` is
-        # the group index or clause that forced v (None for decisions and
-        # seeds) and `pos[v]` its trail position; both are written as v is
-        # set and read only when a conflict is explained.
+        # Propagation state, shared by `deduce` and `run`: per variable the
+        # group index or clause that forced it (`reason`, None for decisions
+        # and seeds), its level and its trail position; `marks` holds each
+        # level's decision position, so its length is the current level.
         self._value = [-1] * self.nvars
         self._reason: list = [None] * self.nvars
+        self._level = [0] * self.nvars
         self._pos = [0] * self.nvars
         self._left = (self._zeros[:], self._ones[:])
         self._trail: list[int] = []
         self._qhead = 0   # trail entries before this have been propagated
+        self._marks: list[int] = []
         # Per literal, the learned clauses to visit once it is true (they
         # watch its negation); None until the first one.
         self._watches: list[list[list[int]] | None] | None = None
 
-    def _set(self, lit: int, why) -> None:
+    def _set(self, lit: int, why, level: int) -> None:
         v = lit >> 1
         self._value[v] = lit & 1
         self._reason[v] = why
+        self._level[v] = level
         self._pos[v] = len(self._trail)
         self._trail.append(lit)
 
-    def _propagate(self):
+    def _propagate(self) -> list[int] | None:
         """Propagate the trail entries not yet propagated; None, or the
-        conflicting group index or clause."""
+        true literals of a conflict."""
         value = self._value
         reason = self._reason
+        level = self._level
         pos = self._pos
         trail = self._trail
         push = trail.append
@@ -150,32 +157,41 @@ class BoundedCounts:
         members = self._members
         left = self._left
         watches = self._watches
+        here = len(self._marks)
         q = self._qhead
         end = len(trail)
-        bad = -1
+        bad = False
         while q < end:
             lit = trail[q]
             q += 1
             val = lit & 1
             spend = left[val]
+            # Nothing stands above the current level, so only an entry of a
+            # lower level needs the highest level among a reason's members.
+            at = level[lit >> 1]
             for g in touching[lit >> 1]:
                 c = spend[g] - 1
                 spend[g] = c
                 if c <= 0:
                     if c:
-                        bad = g
+                        bad = True
                         continue
                     forced = val ^ 1
+                    lv = here if at == here else -1
                     for w in members[g]:
                         if value[w] < 0:
+                            if lv < 0:
+                                lv = max([level[u] for u in members[g]
+                                          if value[u] == val])
                             value[w] = forced
                             reason[w] = g
+                            level[w] = lv
                             pos[w] = end
                             end += 1
                             push(w + w + forced)
-            if bad >= 0:
+            if bad:
                 self._qhead = q
-                return bad
+                return self._overspent(lit, q)
             if watches is None:
                 continue
             ws = watches[lit]
@@ -211,16 +227,29 @@ class BoundedCounts:
                     if fv >= 0:
                         ws[j:] = ws[i:]
                         self._qhead = q
-                        return clause
+                        return [other ^ 1 for other in clause]
                     w = first >> 1
                     value[w] = first & 1
                     reason[w] = clause
+                    level[w] = here if at == here else max(
+                        [level[other >> 1] for other in clause[1:]])
                     pos[w] = end
                     end += 1
                     push(first)
             del ws[j:]
         self._qhead = q
         return None
+
+    def _overspent(self, lit: int, q: int) -> list[int]:
+        """True literals of the lowest-level group that propagating `lit`,
+        trail entry q - 1, overspent.  Every other group it overspent holds
+        an entry at or above that level, so undoing it refunds them all."""
+        val = lit & 1
+        spend = self._left[val]
+        level = self._level
+        return min((self._holding(g, val, q) for g in self.touching[lit >> 1]
+                    if spend[g] < 0),
+                   key=lambda lits: max([level[held >> 1] for held in lits]))
 
     def _watch(self, lit: int, clause: list[int]) -> None:
         ws = self._watches[lit]
@@ -229,27 +258,40 @@ class BoundedCounts:
         else:
             ws.append(clause)
 
-    def _rewind(self, mark: int) -> None:
-        """Undo the trail back to `mark`, refunding the counters of the
-        entries already propagated.
-
-        `mark` is a decision's trail position, which propagation has always
-        passed.
-        """
+    def _backtrack(self, keep: int) -> None:
+        """Undo every level above `keep`: removed entries already propagated
+        refund their counters, the rest keep value, spend and trail order.
+        The first undone decision has been propagated, and none below it is
+        above `keep`."""
+        marks = self._marks
+        start = marks[keep]
+        del marks[keep:]
         trail = self._trail
         value = self._value
+        level = self._level
+        pos = self._pos
         touching = self.touching
         left = self._left
-        for i in range(mark, self._qhead):
+        qhead = self._qhead
+        j = start
+        for i in range(start, len(trail)):
+            if i == qhead:
+                self._qhead = j
             lit = trail[i]
-            value[lit >> 1] = -1
-            refund = left[lit & 1]
-            for g in touching[lit >> 1]:
-                refund[g] += 1
-        for i in range(self._qhead, len(trail)):
-            value[trail[i] >> 1] = -1
-        del trail[mark:]
-        self._qhead = mark
+            v = lit >> 1
+            if level[v] <= keep:
+                trail[j] = lit
+                pos[v] = j
+                j += 1
+            else:
+                value[v] = -1
+                if i < qhead:
+                    refund = left[lit & 1]
+                    for g in touching[v]:
+                        refund[g] += 1
+        if qhead == len(trail):
+            self._qhead = j
+        del trail[j:]
 
     def _root(self, seed: Iterable[tuple[int, int]]) -> bool:
         if not self._feasible:
@@ -261,10 +303,10 @@ class BoundedCounts:
                 forced = 1 if ones[g] else 0
                 for w in self._members[g]:
                     if value[w] < 0:
-                        self._set(w + w + forced, g)
+                        self._set(w + w + forced, g, 0)
         for v, val in seed:
             if value[v] < 0:
-                self._set(v + v + val, None)
+                self._set(v + v + val, None, 0)
             elif value[v] != val:
                 return False
         return self._propagate() is None
@@ -284,37 +326,30 @@ class BoundedCounts:
             return [lit ^ 1 for lit in why if lit >> 1 != v]
         return self._holding(why, self._value[v] ^ 1, self._pos[v])
 
-    def _analyze(self, conflict, marks: list[int]) -> tuple[list[int], int]:
-        """1-UIP clause for the conflict and its asserting level.
+    def _analyze(self, lits: list[int], high: int) -> tuple[list[int], int]:
+        """1-UIP clause for the conflict's true literals, whose highest
+        level is `high`, and the clause's asserting level.
 
-        The clause's first literal is the one it asserts, its second the
-        one set deepest among the rest.
+        The clause's first literal is the one it asserts, its second one of
+        the highest level among the rest.
         """
-        pos = self._pos
+        level = self._level
         trail = self._trail
-        seen = self._seen
-        if conflict.__class__ is list:
-            lits = [lit ^ 1 for lit in conflict]
-        else:
-            # the group's members holding the overspent value, up to the
-            # entry whose propagation overspent it
-            lits = self._holding(conflict, trail[self._qhead - 1] & 1,
-                                 self._qhead)
-        root = marks[0]
-        here = marks[-1]
+        seen = self._seen   # 1: at `high`, still to resolve; 2: lower
         lower: list[int] = []
         pending = 0
         i = len(trail) - 1
         while True:
             for lit in lits:
                 v = lit >> 1
-                if not seen[v] and pos[v] >= root:
-                    seen[v] = 1
-                    if pos[v] >= here:
+                if not seen[v]:
+                    if level[v] == high:
+                        seen[v] = 1
                         pending += 1
-                    else:
+                    elif level[v]:
+                        seen[v] = 2
                         lower.append(lit)
-            while not seen[trail[i] >> 1]:
+            while seen[trail[i] >> 1] != 1:
                 i -= 1
             uip = trail[i]
             v = uip >> 1
@@ -325,64 +360,24 @@ class BoundedCounts:
                 break
             lits = self._explain(v)
         clause = [uip ^ 1]
-        deepest = -1
+        asserting = 0
         for lit in lower:
             v = lit >> 1
             seen[v] = 0
-            if pos[v] > deepest:
-                deepest = pos[v]
+            if level[v] > asserting:
+                asserting = level[v]
                 clause.insert(1, lit ^ 1)
             else:
                 clause.append(lit ^ 1)
-        return clause, bisect_right(marks, deepest)
-
-    def _undo(self, mark: int, top: int):
-        """Undo the top level, whose decision sits at `mark`, and re-imply.
-
-        Each recorded assertion the rewind removed is set again from its
-        clause.  The clause's other literals all survive, since they sit at
-        or below its asserting level and only the level above `top` is
-        undone.  The assertion stays recorded while its asserting level is
-        below `top`.  Returns None, or a clause whose literal was found set
-        the other way.
-        """
-        self._rewind(mark)
-        later = self._later
-        pos = self._pos
-        i = len(later)
-        while i and pos[later[i - 1][0][0] >> 1] >= mark:
-            i -= 1
-        redo = later[i:]
-        del later[i:]
-        conflict = None
-        for clause, level in redo:
-            clash = self._imply(clause, level, top)
-            conflict = conflict or clash
-        return conflict
-
-    def _imply(self, clause: list[int], level: int, top: int):
-        """Set the clause's first literal, which its other literals force
-        from `level` on, while `top` levels stand; record it when `level`
-        is below `top`.  Returns the clause if the literal's variable
-        holds the other value, else None."""
-        lit = clause[0]
-        held = self._value[lit >> 1]
-        if held < 0:
-            self._set(lit, clause)
-            if level < top:
-                self._later.append((clause, level))
-        elif held != lit & 1:
-            return clause
-        return None
+        return clause, asserting
 
     def run(self, cap: int | None = None) -> tuple[bool, list[tuple[int, ...]], int]:
         """Enumerate satisfying assignments in lexicographic order.
 
         Returns (exhausted, assignments, nodes); `exhausted` is False when
         the cap stopped the search before the space was covered, and
-        `nodes` counts the decisions tried, flips to 0 included; a 0 that
-        propagation sets after re-implication is not counted as a flip.
-        A cap below 1 raises ValueError.
+        `nodes` counts the decisions tried, flips to 0 included, but not a 0
+        that propagation sets after a pop.  A cap below 1 raises ValueError.
         """
         if cap is not None and cap < 1:
             raise ValueError("cap must be at least 1")
@@ -392,13 +387,11 @@ class BoundedCounts:
         nvars = self.nvars
         self._watches = [None] * (2 * nvars)
         self._seen = bytearray(nvars)
-        # (clause, asserting level) of each assertion above that level,
-        # in trail order
-        self._later: list[tuple[list[int], int]] = []
         value = self._value
+        level = self._level
         trail = self._trail
-        marks: list[int] = []   # trail position of each level's decision
-        sols: list[int] = []    # solutions found when that decision was made
+        marks = self._marks
+        sols: list[int] = []    # solutions found when each decision was made
         found: list[tuple[int, ...]] = []
         nodes = 0
         cur = 0
@@ -411,40 +404,47 @@ class BoundedCounts:
                     nodes += 1
                     marks.append(len(trail))
                     sols.append(len(found))
-                    self._set(cur + cur + 1, None)
+                    self._set(cur + cur + 1, None, len(marks))
                     conflict = self._propagate()
                     continue
                 found.append(tuple(value))
                 if cap is not None and len(found) >= cap:
                     return False, found, nodes
-            elif not marks:
-                return True, found, nodes
             else:
-                clause, level = self._analyze(conflict, marks)
+                high = max([level[lit >> 1] for lit in conflict])
+                if not high:
+                    return True, found, nodes
+                if high < len(marks):
+                    # The conflict's literals follow from the decisions at
+                    # or below `high`, which every solution found since the
+                    # decision above them extends; such a solution would
+                    # break the conflict, so the levels above hold none.
+                    assert sols[high] == len(found)
+                    self._backtrack(high)
+                    del sols[high:]
+                clause, asserting = self._analyze(conflict, high)
                 if len(clause) > 1:
                     self._watch(clause[0] ^ 1, clause)
                     self._watch(clause[1] ^ 1, clause)
                 # Undo only the conflict level, unless its subtree emitted
-                # a solution, and assert the clause at the level below.
-                top = len(marks) - 1
-                if sols[top] == len(found):
-                    mark = marks.pop()
+                # a solution, and assert the clause at its own level.
+                if sols[-1] == len(found):
+                    cur = trail[marks[-1]] >> 1
+                    self._backtrack(high - 1)
                     sols.pop()
-                    cur = trail[mark] >> 1
-                    conflict = self._undo(mark, top)
-                    clash = self._imply(clause, level, top)
-                    conflict = conflict or clash or self._propagate()
+                    self._set(clause[0], clause, asserting)
+                    conflict = self._propagate()
                     continue
-            # Chronological step: the top level is exhausted.  Pop it and
-            # re-imply; its decision is flipped to 0 only if that leaves
-            # the variable open, and popping goes on when the 0 branch is
-            # spent or refuted.
+            # Chronological step: the top level is exhausted.  Pop it and flip
+            # its decision to 0 if that leaves the variable open; pop on when
+            # the 0 branch is spent or refuted.
             while marks:
-                mark = marks.pop()
+                top = len(marks) - 1
+                lit = trail[marks[top]]
                 tried = sols.pop()
-                lit = trail[mark]
                 cur = lit >> 1
-                conflict = self._undo(mark, len(marks)) or self._propagate()
+                self._backtrack(top)
+                conflict = self._propagate()
                 if conflict is not None:
                     break
                 if lit & 1 and value[cur] <= 0:
@@ -452,7 +452,7 @@ class BoundedCounts:
                         nodes += 1
                         marks.append(len(trail))
                         sols.append(tried)
-                        self._set(lit ^ 1, None)
+                        self._set(lit ^ 1, None, len(marks))
                         conflict = self._propagate()
                     break
             else:

@@ -58,6 +58,61 @@ def literal_oracle(board: core.Board) -> set[core.Coloring]:
     return found
 
 
+def random_counts(rng: random.Random
+                  ) -> tuple[int, list[list[int]], list[int], list[int]]:
+    """Random `BoundedCounts` system (nvars, members, lows, highs) on at
+    most ten variables.
+
+    A third of the systems hold up to eight groups of 1-6 distinct members,
+    with bounds anywhere in 0..len; one group in ten gets lo > hi, so
+    infeasible systems occur.  The others put six groups of 3-6 members on
+    ten variables around a shared core of two, mostly with exact bounds,
+    so that one core literal saturates or overspends several groups at
+    once, often groups whose other members sit at different decision
+    levels.
+    """
+    if rng.random() < 1 / 3:
+        nvars = rng.randint(1, 10)
+        members = [rng.sample(range(nvars), rng.randint(1, min(6, nvars)))
+                   for _ in range(rng.randint(0, 8))]
+        exact = 0.0
+    else:
+        nvars = 10
+        core = rng.sample(range(nvars), 2)
+        rest = [v for v in range(nvars) if v not in core]
+        members = []
+        for _ in range(6):
+            group = core + rng.sample(rest, rng.randint(3, 6) - len(core))
+            rng.shuffle(group)
+            members.append(group)
+        exact = 0.7
+    lows: list[int] = []
+    highs: list[int] = []
+    for group in members:
+        size = len(group)
+        lo, hi = sorted([rng.randint(0, size), rng.randint(0, size)])
+        if rng.random() < exact:
+            lo = hi = rng.randint(1, size - 1)
+        elif rng.random() < 0.1:
+            lo, hi = hi, lo
+        lows.append(lo)
+        highs.append(hi)
+    return nvars, members, lows, highs
+
+
+def counts_oracle(nvars: int, members: list[list[int]], lows: list[int],
+                  highs: list[int]) -> list[tuple[int, ...]]:
+    """Every 0-1 assignment within all bounds, scanned in lexicographic
+    order with 1 before 0."""
+    # bit nvars - 1 - v of a mask holds variable v, so counting down from
+    # all ones visits the assignments in that order
+    masks = range((1 << nvars) - 1, -1, -1)
+    for group, lo, hi in zip(members, lows, highs):
+        bits = sum(1 << (nvars - 1 - v) for v in group)
+        masks = [a for a in masks if lo <= (a & bits).bit_count() <= hi]
+    return [tuple(map(int, format(a, f"0{nvars}b"))) for a in masks]
+
+
 def random_board(rng: random.Random, max_circles: int = 16,
                  max_side: int = 5) -> core.Board:
     """Structurally valid board with random circles, skewers, and clues."""

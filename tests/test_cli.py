@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +285,21 @@ def test_reduce_writes_no_board_when_the_map_cannot_be_written(capsys,
     assert board_path.read_text() == "kept\n"
 
     code, out, _ = run(capsys, "reduce", CNF, "--map", str(missing))
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(),
+                    reason="needs the /dev/full device")
+def test_reduce_removes_its_board_when_the_map_write_fails(capsys, tmp_path):
+    # /dev/full opens, but every write to it fails with ENOSPC
+    board_path = tmp_path / "out.odg"
+    code, out, err = run(capsys, "reduce", CNF, "-o", str(board_path),
+                         "--map", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot write /dev/full: ")
+    assert not board_path.exists()
+
+    code, out, _ = run(capsys, "reduce", CNF, "--map", "/dev/full")
     assert (code, out) == (2, "")
 
 

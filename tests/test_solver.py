@@ -7,7 +7,8 @@ from oredango import ilp, reduction, solver, textio
 from oredango.core import BLACK, WHITE, ColoringError, build_board, check_coloring
 from oredango.solver import BoundedCounts, SolveStatus
 from conftest import fixture_text
-from oracles import mask_oracle, random_board, sized_instance
+from oracles import (counts_oracle, mask_oracle, random_board,
+                     random_counts, sized_instance)
 
 SAMPLE_GRIDS = [
     "WBBW\nW.B.\nBW.B\nBBWB\n",
@@ -237,6 +238,20 @@ def test_engine_rejects_impossible_bounds():
     assert engine.deduce([]) is None
 
 
+def test_engine_matches_brute_force_on_random_systems():
+    # Count groups of any shape, not only board rules: overlapping groups
+    # that one literal overspends together are where a backtrack that
+    # reports only one of them lets a broken assignment through.
+    rng = random.Random(2718)
+    for _ in range(1000):
+        system = random_counts(rng)
+        expected = counts_oracle(*system)
+        for cap in (1, 2, 5, None):
+            exhausted, found, _ = BoundedCounts(*system).run(cap=cap)
+            assert found == expected[:cap]
+            assert exhausted == (cap is None or len(expected) < cap)
+
+
 def test_engine_deduce_contradicting_seed():
     engine = BoundedCounts(1, [], [], [])
     assert engine.deduce([(0, 1), (0, 0)]) is None
@@ -264,7 +279,8 @@ def test_reduced_enumeration_follows_the_assignments(planted):
 @pytest.mark.parametrize("seed, planted", [(1, False), (4, True)])
 def test_learning_keeps_n14_search_small(seed, planted):
     # Chronological search took 114218 (seed 1) and 90765 (seed 4) nodes
-    # on these boards, learning 2434 and 3666.
+    # on these boards, learning 2434 and 3666, learning with re-implication
+    # 459 and 431, and learning on true decision levels 517 and 436.
     instance = sized_instance(random.Random(seed), 14, 14, planted)
     out = solver.solve(reduction.reduce(instance).board)
     sat = bool(reduction.enumerate_assignments(instance))
@@ -303,8 +319,9 @@ def test_reduced_n10_corpus_solves_to_the_least_encoding():
 
 @pytest.mark.parametrize("planted", [False, True])
 def test_deeper_reduced_enumeration_keeps_every_cap(planted):
-    # Conflicts after an emitted solution are where chronological
-    # backtracking could repeat or skip one, so every cap is checked.
+    # Conflicts after an emitted solution, and conflicts below the top
+    # level, are where chronological backtracking could repeat or skip
+    # one, so every cap is checked.
     rng = random.Random(6502 + planted)
     for _ in range(8):
         nvars = rng.randint(7, 8)
@@ -321,9 +338,10 @@ def test_deeper_reduced_enumeration_keeps_every_cap(planted):
                                       else SolveStatus.UNSAT)
 
 
-def test_reimplication_keeps_n24_search_small():
+def test_chronological_backtracking_keeps_n24_search_small():
     # Backjumping took 57925 nodes on this board; chronological
-    # backtracking without re-implication 35597, with it 3282.
+    # backtracking without re-implication 35597, with it 3282, and on true
+    # decision levels 3024.
     instance = sized_instance(random.Random(1), 24, 30, True)
     reduced = reduction.reduce(instance)
     out = solver.solve(reduced.board)
