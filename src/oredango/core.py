@@ -29,8 +29,7 @@ from functools import cached_property
 from itertools import (accumulate, chain, compress, count, groupby, islice,
                        repeat)
 from operator import eq, getitem, gt, itemgetter, or_, sub
-from typing import (Iterable, Iterator, Mapping, NamedTuple, Sequence,
-                    TypeVar)
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 BLACK = "B"
 WHITE = "W"
@@ -56,20 +55,6 @@ class BoardError(ValueError):
 
 class ColoringError(ValueError):
     """A coloring does not fit the board it is checked against."""
-
-
-class Constraint(NamedTuple):
-    """One rule instance: the black count over `cells` lies in [`lo`, `hi`].
-
-    `rule`, `index` and `window` name it as in `Violation`.
-    """
-
-    rule: str
-    index: int
-    window: int | None
-    cells: tuple[Coord, ...]
-    lo: int
-    hi: int
 
 
 @dataclass(frozen=True)
@@ -149,13 +134,14 @@ class Board:
         clued skewer, then the windows of rule B by skewer, C by row and D
         by column.
 
-        Built once per board; the checker, the search engine and the 0-1
-        model all read it, and nothing else.  Lines are grouped from the
-        circles themselves, so the cost grows with the circle count, not
-        with the header.  Windows are found by one comparison per circle
-        over each rule's lines laid end to end, and a loner's clue is read
-        straight from its circle, so boards made mostly of loners and
-        pairs, as reduced boards are, cost little beyond their windows.
+        The board's one rule form, built once: the checker, the search
+        engine and the 0-1 model all read it, and nothing else.  Lines are
+        grouped from the circles themselves, so the cost grows with the
+        circle count, not with the header.  Windows are found by one
+        comparison per circle over each rule's lines laid end to end, and a
+        loner's clue is read straight from its circle, so boards made
+        mostly of loners and pairs, as reduced boards are, cost little
+        beyond their windows.
         """
         coords = self.row_major
         circles = self.circles
@@ -202,25 +188,6 @@ class Board:
                      bounds + array("i", [1]) * windows,
                      bounds + array("i", [2]) * windows, tuple(runs))
 
-    @cached_property
-    def constraints(self) -> tuple[Constraint, ...]:
-        """`rules` decoded to one `Constraint` per entry, in its order.
-
-        A view for callers that want coordinates; no library path reads
-        it, so it is built only when asked for.
-        """
-        rules = self.rules
-        cells = rules.entries(map(self.row_major.__getitem__, rules.cells))
-        # Constraint._make without its Python-level length check
-        new = tuple.__new__
-        found = []
-        for rule, i, first, n in rules.runs:
-            for e, w in zip(range(first, first + n), range(1, n + 1)):
-                found.append(new(Constraint, (
-                    rule, i, None if rule == "A" else w, cells[e],
-                    rules.lo[e], rules.hi[e])))
-        return tuple(found)
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -261,11 +228,6 @@ class TripleIndex:
     row_triples: tuple[tuple[Triple, ...], ...]
     col_triples: tuple[tuple[Triple, ...], ...]
     skewer_triples: tuple[tuple[Triple, ...], ...]
-
-    def all_triples(self) -> Iterator[Triple]:
-        for group in (self.skewer_triples, self.row_triples, self.col_triples):
-            for windows in group:
-                yield from windows
 
 
 @dataclass(frozen=True)
@@ -443,17 +405,26 @@ def triple_index(board: Board) -> TripleIndex:
     )
 
 
+def _first(coords: set[Coord], shown: int = 10) -> str:
+    """The `shown` smallest of `coords`, then a count of the rest."""
+    first = sorted(coords)[:shown]
+    rest = len(coords) - len(first)
+    return f"{first}" + (f" (+{rest} more)" if rest else "")
+
+
 def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
     """Check a total coloring against rules A-D.
 
-    The report lists the broken entries of `board.rules` in order, which
-    is the order of `board.constraints`.  Black counts are taken over one
-    flag per circle; coordinates are decoded only for the entries
-    reported.  An empty report means the coloring solves the board.
+    The report lists the broken entries of `board.rules` in store order:
+    rule A by clued skewer, then the windows of B, C and D line by line.
+    Black counts are taken over one flag per circle; coordinates are
+    decoded only for the entries reported.  An empty report means the
+    coloring solves the board.  A coloring over other circles raises
+    ColoringError naming the first few missing and extra coordinates.
     """
     if board.circles.keys() != coloring.cells:
-        missing = sorted(frozenset(board.circles) - coloring.cells)
-        extra = sorted(coloring.cells - frozenset(board.circles))
+        missing = _first(board.circles.keys() - coloring.cells)
+        extra = _first(coloring.cells - board.circles.keys())
         raise ColoringError(
             f"coloring domain mismatch: missing {missing}, extra {extra}")
 

@@ -2,7 +2,9 @@
 
 Board files (`.odg`) are keyword lines: `rows` and `cols` headers first,
 then `circle <row> <col> [clue]` declarations and
-`skewer <r1> <c1> <r2> <c2> ...` paths over declared circles.  Coloring
+`skewer <r1> <c1> <r2> <c2> ...` paths over circles declared on earlier
+lines; a skewer that visits a circle declared later is a grammar error
+at that pair.  Coloring
 files (`.sol`) are character grids over `.` (no circle), `B`, and `W`.
 Instance files (`.c13`) start with `p 1in3 <nvars> <nclauses>` and list
 each clause as three nonzero integers closed by `0`.
@@ -81,6 +83,7 @@ def parse_board(text: str) -> Board:
     """Read a board file; raises ParseError carrying all diagnostics."""
     diags: list[ParseDiagnostic] = []
     headers: dict[str, int] = {}
+    header_line: dict[str, int] = {}
     pending = ["rows", "cols"]
     circles: list[tuple[int, ...]] = []
     circle_line: dict[Coord, int] = {}
@@ -104,6 +107,7 @@ def parse_board(text: str) -> Board:
                     f"`{want}` header takes one integer"))
                 raise ParseError(diags)
             headers[want] = count
+            header_line[want] = lineno
             pending.pop(0)
             continue
 
@@ -165,7 +169,12 @@ def parse_board(text: str) -> Board:
         return build_board(headers["rows"], headers["cols"], circles, skewers)
     except BoardError as err:
         line = 0
-        if err.skewer is not None and 1 <= err.skewer <= len(skewer_line):
+        # a grid below 1x1 is the first fault `build_board` checks
+        if headers["rows"] < 1:
+            line = header_line["rows"]
+        elif headers["cols"] < 1:
+            line = header_line["cols"]
+        elif err.skewer is not None and 1 <= err.skewer <= len(skewer_line):
             line = skewer_line[err.skewer - 1]
         elif err.coord is not None and err.coord in circle_line:
             line = circle_line[err.coord]

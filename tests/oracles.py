@@ -18,6 +18,42 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
     return _PC16[arr & 0xFFFF] + _PC16[(arr >> 16) & 0xFFFF]
 
 
+def listed_rules(board: core.Board) -> list[tuple]:
+    """Rules A-D as (rule, index, window, cells, lo, hi) tuples in the
+    checker's report order, listed from `Board.clue_of` and
+    `core.triple_index` alone, never from `Board.rules`.
+
+    Rule A gives one tuple per clued skewer k, (A, k, None, path, clue,
+    clue); rules B, C and D give window w of skewer, row or column i as
+    (rule, i, w, three coordinates, 1, 2).
+    """
+    found = []
+    for k, path in enumerate(board.skewers, start=1):
+        clue = board.clue_of(path)
+        if clue is not None:
+            found.append(("A", k, None, path, clue, clue))
+    index = core.triple_index(board)
+    for rule, lines in (("B", index.skewer_triples), ("C", index.row_triples),
+                        ("D", index.col_triples)):
+        for i, windows in enumerate(lines, start=1):
+            found += [(rule, i, w, cells, 1, 2)
+                      for w, cells in enumerate(windows, start=1)]
+    return found
+
+
+def listed_violations(board: core.Board,
+                      coloring: core.Coloring) -> tuple[core.Violation, ...]:
+    """The report `listed_rules` gives: every entry whose black count lies
+    outside [lo, hi], in order."""
+    found = []
+    for rule, index, window, cells, lo, hi in listed_rules(board):
+        blacks = sum(cell in coloring.blacks for cell in cells)
+        if not lo <= blacks <= hi:
+            found.append(core.Violation(rule, index, window, cells, blacks,
+                                        lo, hi))
+    return tuple(found)
+
+
 def mask_oracle(board: core.Board) -> set[core.Coloring]:
     """Every solution of the board, by vectorized scan of all colorings."""
     coords = board.row_major
@@ -26,15 +62,10 @@ def mask_oracle(board: core.Board) -> set[core.Coloring]:
     index = {c: i for i, c in enumerate(coords)}
     universe = np.arange(1 << k, dtype=np.uint32)
     keep = np.ones(1 << k, dtype=bool)
-    for path in board.skewers:
-        clue = board.clue_of(path)
-        if clue is not None:
-            mask = np.uint32(sum(1 << index[c] for c in path))
-            keep &= _popcount(universe & mask) == clue
-    for window in core.triple_index(board).all_triples():
-        mask = np.uint32(sum(1 << index[c] for c in window))
+    for _, _, _, cells, lo, hi in listed_rules(board):
+        mask = np.uint32(sum(1 << index[c] for c in cells))
         blacks = _popcount(universe & mask)
-        keep &= (blacks > 0) & (blacks < 3)
+        keep &= (blacks >= lo) & (blacks <= hi)
     domain = frozenset(coords)
     found = set()
     for packed in universe[keep]:
@@ -236,8 +267,8 @@ def sized_instance(rng: random.Random, nvars: int, nclauses: int,
 
 
 def reference_lp(board: core.Board) -> str:
-    """LP text of a board's 0-1 model, written straight from
-    `board.constraints` by the rules `ilp` documents, without `ilp`.
+    """LP text of a board's 0-1 model, written from `listed_rules` by the
+    rules `ilp` documents, without `ilp` or `Board.rules`.
 
     Variables are `x_<row>_<col>` in row-major order, each of weight 1 in
     the objective.  A rule-A entry of skewer k is row `sk<k>`; window w of
@@ -252,16 +283,16 @@ def reference_lp(board: core.Board) -> str:
     objective = " obj: " + " + ".join(names) if names else " obj:"
     lines = ["Minimize", objective, "Subject To"]
     prefix = {"A": "sk", "B": "tb", "C": "tr", "D": "tc"}
-    for con in board.constraints:
-        row = prefix[con.rule] + str(con.index)
-        if con.window is not None:
-            row += "_" + str(con.window)
-        body = " + ".join(name(coord) for coord in con.cells)
-        if con.lo == con.hi:
-            lines.append(" %s: %s = %d" % (row, body, con.lo))
+    for rule, index, window, cells, lo, hi in listed_rules(board):
+        row = prefix[rule] + str(index)
+        if window is not None:
+            row += "_" + str(window)
+        body = " + ".join(name(coord) for coord in cells)
+        if lo == hi:
+            lines.append(" %s: %s = %d" % (row, body, lo))
         else:
-            lines.append(" %s_lo: %s >= %d" % (row, body, con.lo))
-            lines.append(" %s_hi: %s <= %d" % (row, body, con.hi))
+            lines.append(" %s_lo: %s >= %d" % (row, body, lo))
+            lines.append(" %s_hi: %s <= %d" % (row, body, hi))
     lines.append("Binaries")
     while names:
         lines.append(" " + " ".join(names[:8]))

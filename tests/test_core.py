@@ -2,6 +2,8 @@ import dataclasses
 import random
 import time
 import tracemalloc
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -9,8 +11,8 @@ from conftest import fixture_text
 from oredango import ilp, reduction, solver, textio
 from oredango.core import (BLACK, WHITE, BoardError, Coloring, ColoringError,
                            build_board, check_coloring, triple_index)
-from oredango.core import Constraint, Violation
-from oracles import random_board, sized_instance
+from oracles import (listed_rules, listed_violations, random_board,
+                     sized_instance)
 
 PUBLISHED_BLACKS = [(1, 2), (1, 4), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3),
                     (4, 4)]
@@ -162,9 +164,25 @@ def test_triple_violations_are_exact(sample_board):
 
 
 def test_domain_mismatch_raises(sample_board):
-    short = dict.fromkeys(list(sample_board.circles)[:-1], WHITE)
-    with pytest.raises(ColoringError, match="mismatch"):
-        check_coloring(sample_board, Coloring.from_colors(short))
+    colors = dict.fromkeys(sample_board.circles, WHITE)
+    del colors[(4, 4)], colors[(1, 1)]
+    colors[(5, 5)] = BLACK
+    with pytest.raises(ColoringError) as caught:
+        check_coloring(sample_board, Coloring.from_colors(colors))
+    assert str(caught.value) == (
+        "coloring domain mismatch: missing [(1, 1), (4, 4)], extra [(5, 5)]")
+
+
+def test_domain_mismatch_names_a_bounded_sample():
+    board = reduction.reduce(
+        sized_instance(random.Random(1), 40, 50, True)).board
+    coords = board.row_major
+    with pytest.raises(ColoringError) as caught:
+        check_coloring(board, Coloring(frozenset(), frozenset()))
+    message = str(caught.value)
+    assert len(message) < 2000
+    assert message == (f"coloring domain mismatch: missing {list(coords[:10])}"
+                       f" (+{len(coords) - 10} more), extra []")
 
 
 def test_bad_color_rejected():
@@ -211,13 +229,10 @@ def test_report_empty_iff_counts_in_window():
         coords = board.row_major
         coloring = Coloring(frozenset(coords),
                             frozenset(c for c in coords if rng.random() < 0.5))
-        clues_ok = all(
-            len(coloring.blacks.intersection(path)) == board.clue_of(path)
-            for path in board.skewers if board.clue_of(path) is not None)
-        triples_ok = all(
-            len(coloring.blacks.intersection(w)) in (1, 2)
-            for w in triple_index(board).all_triples())
-        assert check_coloring(board, coloring).ok == (clues_ok and triples_ok)
+        counts_ok = all(
+            lo <= len(coloring.blacks.intersection(cells)) <= hi
+            for _, _, _, cells, lo, hi in listed_rules(board))
+        assert check_coloring(board, coloring).ok == counts_ok
 
 
 def test_deleting_an_empty_row_preserves_the_report():
@@ -250,28 +265,28 @@ def test_deleting_an_empty_row_preserves_the_report():
         assert before == after
 
 
-def listed_constraints(board):
-    """Rules A-D as Constraint entries, built straight from clue_of and
-    triple_index in the checker's report order."""
-    found = []
-    for k, path in enumerate(board.skewers, start=1):
-        clue = board.clue_of(path)
-        if clue is not None:
-            found.append(Constraint("A", k, None, path, clue, clue))
-    index = triple_index(board)
-    for rule, lines in (("B", index.skewer_triples), ("C", index.row_triples),
-                        ("D", index.col_triples)):
-        for i, windows in enumerate(lines, start=1):
-            found.extend(Constraint(rule, i, w, cells, 1, 2)
-                         for w, cells in enumerate(windows, start=1))
-    return tuple(found)
+def assert_rules_match_listing(board):
+    """`board.rules` equals the independent `listed_rules` field by field,
+    the listing's coordinates turned into row-major indices."""
+    rules = board.rules
+    listing = listed_rules(board)
+    index = {c: i for i, c in enumerate(board.row_major)}
+    assert rules.entries(rules.cells) == [
+        tuple(map(index.__getitem__, entry[3])) for entry in listing]
+    assert list(rules.lo) == [entry[4] for entry in listing]
+    assert list(rules.hi) == [entry[5] for entry in listing]
+    runs, first = [], 0
+    for (rule, i), line in groupby(listing, key=itemgetter(0, 1)):
+        n = len(list(line))
+        runs.append((rule, i, first, n))
+        first += n
+    assert rules.runs == tuple(runs)
 
 
 def test_constraints_match_clues_and_windows():
     rng = random.Random(2024)
     for _ in range(120):
-        board = random_board(rng)
-        assert board.constraints == listed_constraints(board)
+        assert_rules_match_listing(random_board(rng))
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -282,31 +297,32 @@ def test_constraints_match_clues_and_windows_on_reduced_boards(planted):
         nvars = rng.randint(3, 8)
         instance = sized_instance(rng, nvars, rng.randint(nvars // 2 + 1, 8),
                                   planted)
-        board = reduction.reduce(instance).board
-        assert board.constraints == listed_constraints(board)
-        assert {type(con) for con in board.constraints} == {Constraint}
+        assert_rules_match_listing(reduction.reduce(instance).board)
 
 
 def test_sample_constraints_in_report_order(sample_board):
-    rules = [con.rule for con in sample_board.constraints]
-    assert rules == ["A"] * 4 + ["B"] * 7 + ["C"] * 5 + ["D"] * 5
-    first = sample_board.constraints[0]
-    assert first == Constraint("A", 1, None, sample_board.skewers[0], 3, 3)
+    rules = sample_board.rules
+    assert [rule for rule, _, _, n in rules.runs for _ in range(n)] \
+        == ["A"] * 4 + ["B"] * 7 + ["C"] * 5 + ["D"] * 5
+    first = tuple(map(sample_board.row_major.__getitem__,
+                      rules.entries(rules.cells)[0]))
+    assert (rules.runs[0], first, rules.lo[0], rules.hi[0]) \
+        == (("A", 1, 0, 1), sample_board.skewers[0], 3, 3)
 
 
 def test_constraints_are_cached(sample_board):
-    assert sample_board.constraints is sample_board.constraints
+    assert sample_board.rules is sample_board.rules
 
 
 def test_cached_constraints_leave_equality_alone():
     rng = random.Random(7)
     for _ in range(20):
         board = random_board(rng)
-        board.constraints
+        board.rules
         fresh = dataclasses.replace(board)
-        assert "constraints" not in vars(fresh)
+        assert "rules" not in vars(fresh)
         assert board == fresh and not board != fresh
-        assert fresh.constraints == board.constraints
+        assert fresh.rules == board.rules
 
 
 def shifted(board, rows, cols, dr, dc):
@@ -327,7 +343,7 @@ def test_constraints_skip_empty_lines_in_wide_headers():
         cols = rng.randint(board.cols, 5000)
         moved = shifted(board, rows, cols, rng.randint(0, rows - board.rows),
                         rng.randint(0, cols - board.cols))
-        assert moved.constraints == listed_constraints(moved)
+        assert_rules_match_listing(moved)
 
 
 def test_constraints_cost_follows_circles_not_header():
@@ -338,16 +354,14 @@ def test_constraints_cost_follows_circles_not_header():
     tracemalloc.start()
     try:
         rules = board.rules
-        rules_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        found = board.constraints
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rules_peak < 64 * 1024 and peak < 64 * 1024
+    assert peak < 64 * 1024
     assert rules.runs == (("C", mid, 0, 1), ("D", mid, 1, 1))
-    assert found == (Constraint("C", mid, 1, tuple(row), 1, 2),
-                     Constraint("D", mid, 1, tuple(col), 1, 2))
+    assert rules.entries(map(board.row_major.__getitem__, rules.cells)) \
+        == [tuple(row), tuple(col)]
+    assert (list(rules.lo), list(rules.hi)) == ([1, 1], [2, 2])
 
     start = time.perf_counter()
     coloring = coloring_of(board, [(mid, mid + 1), (mid + 2, mid)])
@@ -361,17 +375,6 @@ def test_constraints_cost_follows_circles_not_header():
 def random_coloring(rng, board):
     coords = board.row_major
     return coloring_of(board, [c for c in coords if rng.random() < 0.5])
-
-
-def listed_violations(board, coloring):
-    """The report `listed_constraints` gives: every entry whose black
-    count lies outside [lo, hi], in order."""
-    found = []
-    for rule, index, window, cells, lo, hi in listed_constraints(board):
-        blacks = sum(cell in coloring.blacks for cell in cells)
-        if not lo <= blacks <= hi:
-            found.append(Violation(rule, index, window, cells, blacks, lo, hi))
-    return tuple(found)
 
 
 def test_violations_match_an_independent_listing():
@@ -414,17 +417,3 @@ def test_violations_match_an_independent_listing_on_reduced_boards(flips):
         assert report.violations == listed_violations(board, coloring)
         broken += len(report)
     assert (broken == 0) == (flips == 0)
-
-
-def test_library_paths_never_decode_the_constraints_view():
-    rng = random.Random(64)
-    instance = sized_instance(rng, 5, 5, planted=True)
-    boards = [random_board(rng) for _ in range(30)]
-    boards.append(reduction.reduce(instance).board)
-    for board in boards:
-        solver.solve(board)
-        solver.enumerate(board, 3)
-        solver.propagate(board, {})
-        check_coloring(board, random_coloring(rng, board))
-        ilp.export_lp(ilp.build_model(board))
-        assert "constraints" not in vars(board)

@@ -96,6 +96,28 @@ def test_board_structural_diagnostics(text, fragment):
     assert err.value.diagnostics[0].line > 0
 
 
+@pytest.mark.parametrize("text,line,grid", [
+    ("rows 0\ncols 3\n", 1, "0x3"),
+    ("# header\nrows 2\n\ncols -1\ncircle 1 1\n", 4, "2x-1"),
+])
+def test_grid_size_fault_points_at_its_header(text, line, grid):
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_board(text)
+    assert err.value.structural
+    assert [(d.line, d.message) for d in err.value.diagnostics] == [
+        (line, f"grid must be at least 1x1, got {grid}")]
+
+
+def test_skewer_must_follow_its_circles():
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_board("rows 1\ncols 2\nskewer 1 1 1 2\n"
+                           "circle 1 1\ncircle 1 2\n")
+    assert not err.value.structural
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+        (3, 8, "skewer visits undeclared circle (1, 1)"),
+        (3, 12, "skewer visits undeclared circle (1, 2)")]
+
+
 def test_parse_coloring_reads_grid(sample_board):
     coloring = textio.parse_coloring(fixture_text("sample4x4.sol"),
                                      sample_board)
