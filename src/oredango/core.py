@@ -301,12 +301,14 @@ def build_board(rows: int, cols: int,
     circles: dict[Coord, int | None] = {}
     for entry in circle_list:
         if len(entry) == 2:
-            (r, c), clue = entry, None
+            # a (row, col) tuple is its own key
+            coord, clue = tuple(entry), None
+            r, c = coord
         elif len(entry) == 3:
             r, c, clue = entry
+            coord = (r, c)
         else:
             raise BoardError(f"circle entry {tuple(entry)!r} not (r, c[, clue])")
-        coord = (r, c)
         if not (1 <= r <= rows and 1 <= c <= cols):
             raise BoardError(f"circle {coord} outside {rows}x{cols} grid",
                              coord=coord)
@@ -417,10 +419,11 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
 
     The report lists the broken entries of `board.rules` in store order:
     rule A by clued skewer, then the windows of B, C and D line by line.
-    Black counts are taken over one flag per circle; coordinates are
-    decoded only for the entries reported.  An empty report means the
-    coloring solves the board.  A coloring over other circles raises
-    ColoringError naming the first few missing and extra coordinates.
+    Black counts are summed over one flag per circle with no tuple per
+    entry; coordinates are decoded only for the entries reported.  An
+    empty report means the coloring solves the board.  A coloring over
+    other circles raises ColoringError naming the first few missing and
+    extra coordinates.
     """
     if board.circles.keys() != coloring.cells:
         missing = _first(board.circles.keys() - coloring.cells)
@@ -431,8 +434,12 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
     coords = board.row_major
     rules = board.rules
     flags = bytes(map(coloring.blacks.__contains__, coords))
-    counts = list(map(sum, rules.entries(
-        map(getitem, repeat(flags), rules.cells))))
+    flat = map(getitem, repeat(flags), rules.cells)
+    counts: list[int] = []
+    # `sum` drops each entry's tuple before `zip` cuts the next, so `zip`
+    # refills one tuple instead of making one per entry
+    for size, run in rules._shape:
+        counts += map(sum, islice(zip(*[flat] * size), run))
     lo, hi = rules.lo, rules.hi
     broken = list(compress(count(), map(or_, map(gt, lo, counts),
                                         map(gt, counts, hi))))

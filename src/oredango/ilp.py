@@ -84,30 +84,40 @@ def _objective(model: LinearModel) -> str:
     return "".join(terms).removeprefix(" +")
 
 
+# Constraints written per block of text: blocks bound the row strings held
+# at once, and the text is copied only once more, when they are joined.
+_LP_BLOCK = 4096
+
+
 def export_lp(model: LinearModel) -> str:
     """Serialize a model as deterministic LP text, LF line endings.
 
     The objective lists each variable of nonzero weight, a weight of 1 as
     the bare name.  An equality becomes one `=` row under its own name; a
     two-sided range becomes a `>=` row suffixed `_lo` and a `<=` row
-    suffixed `_hi`.
+    suffixed `_hi`.  Rows are joined in blocks of `_LP_BLOCK` constraints,
+    so the text is held about twice at most: its blocks and the result.
     """
-    lines = ["Minimize", " obj:" + _objective(model), "Subject To"]
+    blocks = [f"Minimize\n obj:{_objective(model)}\nSubject To\n"]
+    constraints = model.constraints
+    for base in range(0, len(constraints), _LP_BLOCK):
+        lines = []
+        for name, terms, lower, upper in constraints[base:base + _LP_BLOCK]:
+            body = " + ".join(terms)
+            if lower is not None and lower == upper:
+                lines.append(f" {name}: {body} = {lower}\n")
+                continue
+            if lower is not None:
+                lines.append(f" {name}_lo: {body} >= {lower}\n")
+            if upper is not None:
+                lines.append(f" {name}_hi: {body} <= {upper}\n")
+        blocks.append("".join(lines))
     names = [name for name, _ in model.variables]
-    for con in model.constraints:
-        body = " + ".join(con.terms)
-        if con.lower is not None and con.lower == con.upper:
-            lines.append(f" {con.name}: {body} = {con.lower}")
-            continue
-        if con.lower is not None:
-            lines.append(f" {con.name}_lo: {body} >= {con.lower}")
-        if con.upper is not None:
-            lines.append(f" {con.name}_hi: {body} <= {con.upper}")
-    lines.append("Binaries")
-    for base in range(0, len(names), 8):
-        lines.append(" " + " ".join(names[base:base + 8]))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    blocks.append("Binaries\n")
+    blocks += [f" {' '.join(names[base:base + 8])}\n"
+               for base in range(0, len(names), 8)]
+    blocks.append("End\n")
+    return "".join(blocks)
 
 
 def _model_engine(model: LinearModel) -> tuple[list[str], BoundedCounts]:

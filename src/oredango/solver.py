@@ -458,17 +458,15 @@ class BoundedCounts:
             else:
                 return True, found, nodes
 
-    def deduce(self, seed: Iterable[tuple[int, int]]) -> dict[int, int] | None:
-        """Fixpoint of counting propagation from seeded values, or None.
+    def deduce(self, seed: Iterable[tuple[int, int]]) -> list[int] | None:
+        """Fixpoint of counting propagation from seeded values, as one
+        value per variable (-1 where open), or None on a contradiction.
 
         Allocates no learning state: watches, learned clauses and decision
         frames exist only within `run`.
         """
         self._start()
-        if not self._root(seed):
-            return None
-        return {v: self._value[v] for v in range(self.nvars)
-                if self._value[v] != -1}
+        return self._value if self._root(seed) else None
 
 
 def board_engine(board: Board) -> tuple[tuple[Coord, ...], BoundedCounts]:
@@ -497,18 +495,19 @@ def _seed_values(board: Board, partial: Mapping[Coord, str],
 def propagate(board: Board, partial: Mapping[Coord, str]) -> PartialColoring | None:
     """Grow a partial coloring by forced deductions.
 
-    Returns the refined assignment (seed included, open circles absent) or
-    None when the seed already contradicts the rules.  Propagation is
+    Returns the refined assignment (seed included, open circles absent),
+    read off the engine's root fixpoint in row-major order, or None when
+    the seed already contradicts the rules.  Propagation is
     sound: it never fixes a color that some completion consistent with the
     seed avoids.  It is not complete, so a non-None result is no
     guarantee that a solution exists.
     """
     coords, engine = board_engine(board)
-    fixed = engine.deduce(_seed_values(board, partial, coords))
-    if fixed is None:
+    value = engine.deduce(_seed_values(board, partial, coords))
+    if value is None:
         return None
-    return {coords[v]: BLACK if val else WHITE
-            for v, val in sorted(fixed.items())}
+    return {coord: BLACK if val else WHITE
+            for coord, val in zip(coords, value) if val != -1}
 
 
 # Shadows the builtin within this module; internal code indexes with

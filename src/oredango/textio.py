@@ -11,8 +11,9 @@ each clause as three nonzero integers closed by `0`.
 
 All three readers skip blank lines and `#` comment lines, tolerate
 surplus whitespace and CRLF endings, and report every diagnostic with a
-1-based line and column.  Writers emit canonical LF text that reparses to
-an equal value.
+1-based line and column; a missing header or grid line is reported at
+the last significant line, or at line 1 of a file without one.  Writers
+emit canonical LF text that reparses to an equal value.
 """
 
 from __future__ import annotations
@@ -80,7 +81,11 @@ def _as_int(token: str) -> int | None:
 
 
 def parse_board(text: str) -> Board:
-    """Read a board file; raises ParseError carrying all diagnostics."""
+    """Read a board file; raises ParseError carrying all diagnostics.
+
+    One pass reads and checks every line, and makes one coordinate tuple
+    per circle, which an unclued circle hands on to the board.
+    """
     diags: list[ParseDiagnostic] = []
     headers: dict[str, int] = {}
     header_line: dict[str, int] = {}
@@ -89,9 +94,13 @@ def parse_board(text: str) -> Board:
     circle_line: dict[Coord, int] = {}
     skewers: list[list[Coord]] = []
     skewer_line: list[int] = []
+    last = 1
 
-    for lineno, raw in _significant(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        last = lineno
         keyword = tokens[0]
         if pending:
             want = pending[0]
@@ -118,7 +127,8 @@ def parse_board(text: str) -> Board:
                     "circle takes `circle <row> <col> [clue]`"))
                 continue
             try:
-                values = tuple(map(int, tokens[1:]))
+                r, c = int(tokens[1]), int(tokens[2])
+                clue = int(tokens[3]) if len(tokens) == 4 else None
             except ValueError:
                 diags += [ParseDiagnostic(lineno, column,
                                           f"not an integer: `{token}`")
@@ -126,14 +136,14 @@ def parse_board(text: str) -> Board:
                                                    _columns(raw)[1:])
                           if _as_int(token) is None]
                 continue
-            coord = values[:2]
+            coord = (r, c)
             if coord in circle_line:
                 diags.append(ParseDiagnostic(
                     lineno, _columns(raw)[0],
                     f"circle {coord} already declared"))
                 continue
             circle_line[coord] = lineno
-            circles.append(values)
+            circles.append(coord if clue is None else (r, c, clue))
         elif keyword == "skewer":
             pairs = tokens[1:]
             if len(pairs) < 4 or len(pairs) % 2:
@@ -161,7 +171,7 @@ def parse_board(text: str) -> Board:
 
     if pending:
         diags.append(ParseDiagnostic(
-            0, 0, f"missing `{pending[0]}` header"))
+            last, 0, f"missing `{pending[0]}` header"))
     if diags:
         raise ParseError(diags)
 
@@ -213,7 +223,8 @@ def write_board(board: Board) -> str:
         if len(path) >= 2:
             flat = " ".join(f"{r} {c}" for r, c in path)
             lines.append(f"skewer {flat}")
-    return "\n".join(lines) + "\n"
+    lines.append("")   # the final newline, without copying the text
+    return "\n".join(lines)
 
 
 # With W read as B, a valid grid row equals its board row's shape: B at
@@ -230,7 +241,7 @@ def parse_coloring(text: str, board: Board) -> Coloring:
     diags: list[ParseDiagnostic] = []
     rows = list(_significant(text))
     if len(rows) != board.rows:
-        last = rows[-1][0] if rows else 0
+        last = rows[-1][0] if rows else 1
         raise ParseError([ParseDiagnostic(
             last, 0, f"expected {board.rows} grid lines, found {len(rows)}")])
     circle_cols = {r: [c for _, c in row]
@@ -307,7 +318,8 @@ def write_coloring(coloring: Coloring, board: Board) -> str:
         for coord in row:
             line[coord[1] - 1] = BLACK if coord in blacks else WHITE
         lines[r - 1] = "".join(line)
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_one_in_three(text: str) -> OneInThreeInstance:
@@ -318,7 +330,7 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
     lines = list(_significant(text))
     if not lines:
         raise ParseError([ParseDiagnostic(
-            0, 0, "missing `p 1in3 <nvars> <nclauses>` header")])
+            1, 0, "missing `p 1in3 <nvars> <nclauses>` header")])
     diags: list[ParseDiagnostic] = []
     lineno, raw = lines[0]
     tokens = raw.split()
@@ -371,4 +383,5 @@ def write_one_in_three(instance: OneInThreeInstance) -> str:
     lines = [f"p 1in3 {instance.nvars} {len(instance.clauses)}"]
     for clause in instance.clauses:
         lines.append(" ".join(map(str, clause)) + " 0")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

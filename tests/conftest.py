@@ -1,5 +1,6 @@
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from oredango import textio
+from oredango import reduction, textio
+from oracles import sized_instance
 
 # One profile for the property tests: the same examples on every run and
 # no example database.  A test's own `@settings` overrides what it names.
@@ -49,3 +51,11 @@ def sample_board():
 @pytest.fixture
 def pair_board():
     return textio.parse_board(fixture_text("pairblock.odg"))
+
+
+@pytest.fixture(scope="session")
+def wide_reduced_board():
+    """A reduced board with 3,618 circles and 8,805 rule entries: its LP
+    text spans several of `export_lp`'s blocks."""
+    instance = sized_instance(random.Random(1), 16, 20, planted=True)
+    return reduction.reduce(instance).board

@@ -163,6 +163,23 @@ def test_triple_violations_are_exact(sample_board):
     ]
 
 
+def test_check_coloring_counts_without_a_tuple_per_entry(
+        wide_reduced_board):
+    board = wide_reduced_board
+    coloring = solver.solve(board).solutions[0]
+    assert check_coloring(board, coloring).ok   # fills the board's caches
+    tracemalloc.start()
+    try:
+        report = check_coloring(board, coloring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    # one flag per circle and one count per entry, about 9 B an entry; a
+    # tuple per entry costs 50 B or more
+    assert peak < 20 * len(board.rules.lo)
+
+
 def test_domain_mismatch_raises(sample_board):
     colors = dict.fromkeys(sample_board.circles, WHITE)
     del colors[(4, 4)], colors[(1, 1)]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -187,9 +188,13 @@ def test_highs_reads_the_exported_lp_and_agrees_with_the_solver():
     assert 0 < feasible < len(boards)
 
 
-def test_export_lp_equals_an_independent_writer(sample_board, pair_board):
+def test_export_lp_equals_an_independent_writer(sample_board, pair_board,
+                                               wide_reduced_board):
     rng = random.Random(5521)
     boards = [sample_board, pair_board, build_board(3, 2, [])]
+    # an LP that spans more than two of `export_lp`'s blocks
+    assert len(wide_reduced_board.rules.lo) > 2 * ilp._LP_BLOCK
+    boards.append(wide_reduced_board)
     boards += [random_board(rng, max_circles=rng.choice((4, 16, 30)),
                             max_side=rng.choice((3, 5, 8)))
                for _ in range(150)]
@@ -197,3 +202,16 @@ def test_export_lp_equals_an_independent_writer(sample_board, pair_board):
                for n in range(3, 9) for planted in (False, True)]
     for board in boards:
         assert ilp.export_lp(ilp.build_model(board)) == reference_lp(board)
+
+
+def test_export_lp_holds_its_text_about_twice(wide_reduced_board):
+    # the blocks and the joined result; a list of every row, or a copy to
+    # append the last newline, would each add about one text more
+    model = ilp.build_model(wide_reduced_board)
+    tracemalloc.start()
+    try:
+        text = ilp.export_lp(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)

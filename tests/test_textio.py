@@ -79,6 +79,15 @@ def test_board_grammar_diagnostics():
 def test_missing_headers_rejected():
     with pytest.raises(textio.ParseError, match="missing `rows` header"):
         textio.parse_board("# nothing\n")
+    # at the last significant line, or at line 1 when there is none
+    for text, line, header in [
+            ("", 1, "rows"), ("# nothing\n\n", 1, "rows"),
+            ("rows 2\n", 1, "cols"),
+            ("# head\n\nrows 2\n# tail\n\n", 3, "cols")]:
+        with pytest.raises(textio.ParseError) as err:
+            textio.parse_board(text)
+        assert [(d.line, d.message) for d in err.value.diagnostics] == [
+            (line, f"missing `{header}` header")]
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -155,6 +164,11 @@ def test_write_coloring_refuses_grids_beyond_the_limit(sample_board,
 def test_parse_coloring_diagnostics(sample_board):
     with pytest.raises(textio.ParseError, match="expected 4 grid lines"):
         textio.parse_coloring("WBWB\nW.B.\n", sample_board)
+    # a grid without a significant line is reported at line 1
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_coloring("# empty\n", sample_board)
+    assert [(d.line, d.message) for d in err.value.diagnostics] == [
+        (1, "expected 4 grid lines, found 0")]
 
     bad = "WBWB\nWXB.\nBB.W\n.WBB\n"  # X, B on empty, . on circle
     with pytest.raises(textio.ParseError) as err:
@@ -214,8 +228,21 @@ def test_c13_random_round_trip():
     ("p 1in3 3 1\n1 2 x 0\n", "not an integer"),
 ])
 def test_c13_diagnostics(text, fragment):
-    with pytest.raises(textio.ParseError, match=fragment):
+    with pytest.raises(textio.ParseError, match=fragment) as err:
         textio.parse_one_in_three(text)
+    assert all(d.line >= 1 for d in err.value.diagnostics)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("", 1),
+    ("# only a comment\n\n", 1),
+    ("\n# header\np 1in3 3 1\n", 3),
+    ("p 1in3 3 1\n1 2 3 0\n\n1 -2 3 0\n", 4),
+])
+def test_c13_diagnostic_lines(text, line):
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_one_in_three(text)
+    assert [d.line for d in err.value.diagnostics] == [line]
 
 
 def test_c13_short_header_line_position():
