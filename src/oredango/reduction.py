@@ -31,7 +31,9 @@ the value of that column's literal, the clause row forbids two adjacent
 true literals and a uniform clause, and the guard row forbids the outer
 pair of literals from being true together: exactly one literal per clause
 is true.  A single-clause instance is laid out with the clause doubled,
-which leaves the accepted assignments unchanged.
+which leaves the accepted assignments unchanged.  Each variable's value
+is read back from its negative-literal circle in row 3, the top row of
+the first band.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import solver
-from .core import (BLACK, WHITE, Board, Coloring, Coord, build_board,
-                   check_coloring)
+from .core import BLACK, Board, Coloring, Coord, build_board, check_coloring
 
 
 class ReductionError(ValueError):
@@ -60,7 +61,8 @@ class OneInThreeInstance:
 
     Clauses are sorted on construction, so an instance built directly
     equals the one `one_in_three` builds from the same clauses.  The
-    literals are checked by `one_in_three` and `reduce`, not here.
+    literals are checked by `one_in_three`, the `.c13` reader and
+    `reduce`, not here.
     """
 
     nvars: int
@@ -173,32 +175,6 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     m = len(clauses)
     right = 4 * n + 1
 
-    row_tags: dict[int, tuple] = {}
-    clause_row: dict[int, int] = {}
-    guard_row: dict[int, int] = {}
-    band_top: dict[int, int] = {}
-    spacer_row: dict[tuple[int, int], int] = {}
-    r = 0
-    for i in range(1, m + 1):
-        r += 1
-        clause_row[i] = r
-        row_tags[r] = ("clause", i)
-        r += 1
-        guard_row[i] = r
-        row_tags[r] = ("guard", i)
-        if i < m:
-            if 2 <= i <= m - 1:
-                for v in range(1, n + 1):
-                    r += 1
-                    spacer_row[(i, v)] = r
-                    row_tags[r] = ("spacer", i, v)
-            r += 1
-            band_top[i] = r
-            row_tags[r] = ("band", i, 0)
-            r += 1
-            row_tags[r] = ("band", i, 1)
-    total_rows = r
-
     col_tags: dict[int, tuple] = {1: ("anchor", "left"),
                                   right: ("anchor", "right")}
     for v in range(1, n + 1):
@@ -208,48 +184,57 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
         if v < n:
             col_tags[4 * v + 1] = ("white_sep", v)
 
+    row_tags: dict[int, tuple] = {}
     circles: list[tuple] = []
     skewers: list[list[Coord]] = []
     literal_cells: dict[tuple[int, int], Coord] = {}
-    covered: dict[int, set[int]] = {}
-
-    for i in range(1, m + 1):
-        rc, rg = clause_row[i], guard_row[i]
-        circles += [(rc, 1, 1), (rc, right, 1), (rg, 1, 0), (rg, right, 0)]
-        ordered = sorted(clauses[i - 1], key=_col)
-        taken = set()
+    r = 0
+    # Blocks top to bottom as the module docstring lays them out; the
+    # last clause's strip closes the board.
+    for i, clause in enumerate(clauses, start=1):
+        ordered = sorted(clause, key=_col)
+        r += 1
+        row_tags[r] = ("clause", i)
+        circles += [(r, 1, 1), (r, right, 1)]
         for lit in ordered:
-            cell = (rc, _col(lit))
+            cell = (r, _col(lit))
             circles.append(cell)
-            taken.add(_col(lit))
             literal_cells.setdefault((1 if doubled else i, lit), cell)
-        for lit in (ordered[0], ordered[2]):
-            column = _col(-lit)
-            circles.append((rg, column))
-            taken.add(column)
-        covered[i] = taken
+        r += 1
+        row_tags[r] = ("guard", i)
+        guards = (-ordered[0], -ordered[2])
+        circles += [(r, 1, 0), (r, right, 0)]
+        circles += [(r, _col(lit)) for lit in guards]
+        if i == m:
+            break
 
-    for i in sorted(band_top):
-        t = band_top[i]
+        if i > 1:
+            # spacer rows fill the literal columns this strip left empty
+            taken = {_col(lit) for lit in (*ordered, *guards)}
+            for v in range(1, n + 1):
+                r += 1
+                row_tags[r] = ("spacer", i, v)
+                circles += [(r, column) for column in (4 * v - 2, 4 * v - 1)
+                            if column not in taken]
+                circles.append((r, 4 * v, 0))
+                if v < n:
+                    circles.append((r, 4 * v + 1, 1))
+
+        # the pair band, rows t and r
+        t, r = r + 1, r + 2
+        row_tags[t] = ("band", i, 0)
+        row_tags[r] = ("band", i, 1)
         for v in range(1, n + 1):
             pos, neg = 4 * v - 2, 4 * v - 1
-            circles += [(t, pos, 1), (t + 1, pos, 1), (t, neg), (t + 1, neg)]
-            skewers.append([(t, pos), (t + 1, neg)])
-            skewers.append([(t + 1, pos), (t, neg)])
-            circles += [(t, 4 * v, 1), (t + 1, 4 * v, 1)]
+            circles += [(t, pos, 1), (r, pos, 1), (t, neg), (r, neg),
+                        (t, 4 * v, 1), (r, 4 * v, 1)]
+            skewers += [[(t, pos), (r, neg)], [(r, pos), (t, neg)]]
             if v < n:
-                circles += [(t, 4 * v + 1, 0), (t + 1, 4 * v + 1, 0)]
+                circles += [(t, 4 * v + 1, 0), (r, 4 * v + 1, 0)]
 
-    for (i, v), row in sorted(spacer_row.items()):
-        for column in (4 * v - 2, 4 * v - 1):
-            if column not in covered[i]:
-                circles.append((row, column))
-        circles.append((row, 4 * v, 0))
-        if v < n:
-            circles.append((row, 4 * v + 1, 1))
-
-    board = build_board(total_rows, right, circles, skewers)
-    readout = {v: (band_top[1], 4 * v - 1) for v in range(1, n + 1)}
+    board = build_board(r, right, circles, skewers)
+    # row 3 is the top row of the first band, below the first strip
+    readout = {v: (3, 4 * v - 1) for v in range(1, n + 1)}
     meta = LayoutMeta(n, m, row_tags, col_tags)
     return ReducedPuzzle(board, literal_cells, readout, meta)
 
@@ -273,8 +258,9 @@ def assignment_to_coloring(reduced: ReducedPuzzle,
     """
     meta = reduced.layout_meta
     values = _values(meta.nvars, assignment)
-    colors: dict[Coord, str] = {}
-    for cell in reduced.board.circles:
+    circles = reduced.board.circles
+    blacks = []
+    for cell in circles:
         row, column = cell
         kind = meta.row_tags[row][0]
         tag = meta.col_tags[column]
@@ -287,8 +273,9 @@ def assignment_to_coloring(reduced: ReducedPuzzle,
         else:
             value = _truth(tag[1], values)
             black = not value if kind == "band" else bool(value)
-        colors[cell] = BLACK if black else WHITE
-    return Coloring.from_colors(colors)
+        if black:
+            blacks.append(cell)
+    return Coloring(frozenset(circles), frozenset(blacks))
 
 
 def coloring_to_assignment(reduced: ReducedPuzzle,

@@ -11,9 +11,13 @@ each clause as three nonzero integers closed by `0`.
 
 All three readers skip blank lines and `#` comment lines, tolerate
 surplus whitespace and CRLF endings, and report every diagnostic with a
-1-based line and column; a missing header or grid line is reported at
-the last significant line, or at line 1 of a file without one.  Writers
-emit canonical LF text that reparses to an equal value.
+1-based line and a column: the 1-based column of the token at fault, or
+column 0 when the diagnostic is about a whole line or file, which holds
+for a missing header, a grid-line or clause count that differs from the
+header, and a board-rule (`BoardError`) fault.  A missing header or grid
+line is reported at the last significant line, or at line 1 of a file
+without one.  Writers emit canonical LF text that reparses to an equal
+value.
 """
 
 from __future__ import annotations
@@ -325,7 +329,7 @@ def write_coloring(coloring: Coloring, board: Board) -> str:
 def parse_one_in_three(text: str) -> OneInThreeInstance:
     """Read a `.c13` instance file."""
     # imported here so that reading boards does not load `reduction`
-    from .reduction import clause_findings, one_in_three
+    from .reduction import OneInThreeInstance, clause_findings
 
     lines = list(_significant(text))
     if not lines:
@@ -375,7 +379,7 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
 
     if diags:
         raise ParseError(diags)
-    return one_in_three(nvars, clauses)
+    return OneInThreeInstance(nvars, tuple(clauses))
 
 
 def write_one_in_three(instance: OneInThreeInstance) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import random
@@ -10,6 +11,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from oredango import reduction, textio
+from oredango.core import build_board
 from oracles import sized_instance
 
 # One profile for the property tests: the same examples on every run and
@@ -41,6 +43,23 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def reduce_without(monkeypatch, cell):
+    """Make `reduction.reduce` leave the loner circle at `cell` off the
+    boards it returns, as a layout fault would, keeping maps and tags."""
+    honest = reduction.reduce
+
+    def faulty(instance):
+        reduced = honest(instance)
+        board = reduced.board
+        circles = [(*coord, clue) for coord, clue in board.circles.items()
+                   if coord != cell]
+        skewers = [path for path in board.skewers if len(path) > 1]
+        return dataclasses.replace(reduced, board=build_board(
+            board.rows, board.cols, circles, skewers))
+
+    monkeypatch.setattr(reduction, "reduce", faulty)
 
 
 @pytest.fixture

@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, fixture_text, fresh_python
+from conftest import FIXTURES, fixture_text, fresh_python, reduce_without
 from oredango import cli, ilp, reduction, solver, textio
 
 SAMPLE = str(FIXTURES / "sample4x4.odg")
 PAIR = str(FIXTURES / "pairblock.odg")
 CNF = str(FIXTURES / "three-clauses.c13")
+TWO_CNF = str(FIXTURES / "two-clauses.c13")
 
 FIRST_GRID = "WBBW\nW.B.\nBW.B\nBBWB\n"
 
@@ -73,9 +74,23 @@ def test_check_lists_violations_in_rule_order(capsys):
 def test_check_rejects_malformed_grid(capsys, tmp_path):
     grid = tmp_path / "short.sol"
     grid.write_text("WBWB\n")
-    code, _, err = run(capsys, "check", SAMPLE, str(grid))
-    assert code == 2
-    assert "expected 4 grid lines" in err
+    code, out, err = run(capsys, "check", SAMPLE, str(grid))
+    # a grid-line count is about the whole file: column 0
+    assert (code, out, err) == (
+        2, "", f"{grid}:1:0: expected 4 grid lines, found 1\n")
+
+
+@pytest.mark.parametrize("command,name,text,diagnostic", [
+    ("validate", "hdr.odg", "rows 2\n", "1:0: missing `cols` header"),
+    ("reduce", "short.c13", "p 1in3 3 2\n1 2 3 0\n",
+     "2:0: header promises 2 clauses, found 1"),
+])
+def test_whole_file_diagnostics_have_column_zero(capsys, tmp_path, command,
+                                                 name, text, diagnostic):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"{path}:{diagnostic}\n")
 
 
 def test_solve_prints_first_solution(capsys):
@@ -215,6 +230,18 @@ def test_reduce_rejects_unused_variable(capsys, tmp_path):
 def test_verify_reduction_pass_line(capsys):
     code, out, err = run(capsys, "verify-reduction", CNF)
     assert (code, out, err) == (0, "PASS puzzle=1 assignments=1\n", "")
+
+
+def test_verify_reduction_fail_line(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify-reduction", TWO_CNF)
+    assert (code, out, err) == (0, "PASS puzzle=2 assignments=2\n", "")
+    # a board missing the guard circle under the negative column of x1
+    reduce_without(monkeypatch, (2, 3))
+    code, out, err = run(capsys, "verify-reduction", TWO_CNF)
+    assert (code, out) == (1, "FAIL puzzle=1 assignments=2\n")
+    assert err.splitlines() == [
+        "board has 1 solutions, instance accepts 2 assignments",
+        "assignment (0, 0, 1, 0) encodes to a non-solution"]
 
 
 def test_verify_reduction_rejects_large_instances(capsys, tmp_path):

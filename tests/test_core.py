@@ -80,6 +80,9 @@ def test_explicit_loner_path_joins_the_appendix():
     (2, 2, [(1, 1, 1), (2, 2, 1)], [[(1, 1), (2, 2)]], "two clues"),
     (2, 2, [(1, 1, 3), (2, 2)], [[(1, 1), (2, 2)]], "exceeds"),
     (1, 1, [(1, 1, 2)], [], "exceeds"),
+    (2, 2, [(1,)], [], r"circle entry \(1,\) not \(r, c\[, clue\]\)"),
+    (2, 2, [(1, 1, 0, 2)], [], r"circle entry \(1, 1, 0, 2\) not"),
+    (2, 2, [(1, 1)], [[]], "skewer 1 has an empty path"),
 ])
 def test_build_board_rejections(rows, cols, circles, skewers, fragment):
     with pytest.raises(BoardError, match=fragment):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import fixture_text
+from conftest import FIXTURES, fixture_text, reduce_without
 from oredango import reduction, solver, textio
 from oredango.core import Coloring, check_coloring
 from oredango.reduction import ReductionError
@@ -171,6 +171,19 @@ def test_two_clause_layout_needs_no_spacers():
         ("clause", 2), ("guard", 2)]
 
 
+@pytest.mark.parametrize("name", ["three-clauses", "two-clauses",
+                                  "one-clause"])
+def test_reduce_reproduces_the_pinned_board_and_map(name):
+    # three strips with spacer rows, two strips without, a doubled clause
+    reduced = reduction.reduce(
+        textio.parse_one_in_three(fixture_text(f"{name}.c13")))
+    golden = FIXTURES / "golden"
+    assert textio.write_board(reduced.board).encode() \
+        == (golden / f"{name}.odg").read_bytes()
+    assert reduction.format_reduction_map(reduced).encode() \
+        == (golden / f"{name}.map").read_bytes()
+
+
 def test_literal_cells_and_readout(three_clause):
     reduced = reduction.reduce(three_clause)
     assert reduction.format_reduction_map(reduced) == THREE_CLAUSE_MAP
@@ -248,6 +261,29 @@ def test_verify_reduction_passes(three_clause):
     assert result.ok
     assert (result.assignments, result.puzzle_solutions) == (1, 1)
     assert result.problems == ()
+
+
+@pytest.mark.parametrize("cell,role,counts,problem", [
+    ((2, 3), ("guard", -1), (1, 2),
+     "assignment (0, 0, 1, 0) encodes to a non-solution"),
+    # three is the enumeration cap, one past the accepted count
+    ((1, 6), ("clause", 2), (3, 2),
+     "board solution decodes to rejected assignment (1, 1, 0, 0)"),
+])
+def test_verify_reduction_fails_without_a_literal_circle(monkeypatch, cell,
+                                                         role, counts,
+                                                         problem):
+    instance = textio.parse_one_in_three(fixture_text("two-clauses.c13"))
+    meta = reduction.reduce(instance).layout_meta
+    assert (meta.row_tags[cell[0]][0], meta.col_tags[cell[1]]) \
+        == (role[0], ("lit", role[1]))
+    reduce_without(monkeypatch, cell)
+    result = reduction.verify_reduction(instance)
+    assert not result.ok
+    assert (result.puzzle_solutions, result.assignments) == counts
+    assert result.problems[0] == (f"board has {counts[0]} solutions, "
+                                  f"instance accepts {counts[1]} assignments")
+    assert problem in result.problems
 
 
 def test_verify_reduction_zero_solution_instances():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import fixture_text
 from oredango import reduction, solver, textio
-from oredango.core import ColoringError, build_board
+from oredango.core import Coloring, ColoringError, build_board
 from oracles import random_board, random_instance
 
 
@@ -90,6 +90,19 @@ def test_missing_headers_rejected():
             (line, f"missing `{header}` header")]
 
 
+@pytest.mark.parametrize("text,line,column,header", [
+    ("rows\ncols 2\n", 1, 1, "rows"),
+    ("rows 2 3\ncols 2\n", 1, 1, "rows"),
+    ("rows 2\n# c\n  cols x\n", 3, 3, "cols"),
+])
+def test_header_takes_exactly_one_integer(text, line, column, header):
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_board(text)
+    assert not err.value.structural
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+        (line, column, f"`{header}` header takes one integer")]
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("rows 2\ncols 2\ncircle 1 1 5\n", "exceeds"),
     ("rows 2\ncols 2\ncircle 1 3\n", "outside"),
@@ -159,6 +172,14 @@ def test_write_coloring_refuses_grids_beyond_the_limit(sample_board,
     monkeypatch.setattr(textio, "MAX_GRID_CELLS", 15)
     with pytest.raises(ColoringError, match="4 x 4 grid"):
         textio.write_coloring(coloring, sample_board)
+
+
+def test_write_coloring_refuses_a_coloring_over_other_circles(
+        sample_board):
+    short = Coloring(frozenset(sample_board.circles) - {(1, 1)}, frozenset())
+    with pytest.raises(ColoringError,
+                       match="coloring does not cover the board's circles"):
+        textio.write_coloring(short, sample_board)
 
 
 def test_parse_coloring_diagnostics(sample_board):
