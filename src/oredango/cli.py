@@ -182,7 +182,7 @@ def _cmd_verify_reduction(args: argparse.Namespace) -> int:
     except reduction.ReductionError as err:
         raise _Fail(2, str(err)) from err
     word = "PASS" if result.ok else "FAIL"
-    print(f"{word} puzzle={result.puzzle_solutions} "
+    print(f"{word} puzzle={result.puzzle_count} "
           f"assignments={result.assignments}")
     for problem in result.problems:
         print(problem, file=sys.stderr)

@@ -85,16 +85,30 @@ class Rules:
         return [(size, len(list(run)))
                 for size, run in groupby(map(sub, starts[1:], starts))]
 
+    @cached_property
+    def _firsts(self) -> list[int]:
+        return [first for _, _, first, _ in self.runs]
+
+    def cut(self, flat: Iterable[_T]) -> Iterator[tuple[_T, ...]]:
+        """`flat`, one item per element of `cells`, cut lazily into one
+        tuple per entry.  A caller that drops each tuple before taking
+        the next lets `zip` refill it instead of making a new one."""
+        flat = iter(flat)
+        # zip over `size` references to one iterator takes `size` items at
+        # a time (no entry is empty)
+        return chain.from_iterable(islice(zip(*[flat] * size), run)
+                                   for size, run in self._shape)
+
     def entries(self, flat: Iterable[_T]) -> list[tuple[_T, ...]]:
         """`flat`, one item per element of `cells`, cut into one tuple
         per entry."""
-        flat = iter(flat)
-        found: list[tuple[_T, ...]] = []
-        # zip over `size` references to one iterator takes `size` items at
-        # a time (no entry is empty)
-        for size, run in self._shape:
-            found += islice(zip(*[flat] * size), run)
-        return found
+        return list(self.cut(flat))
+
+    def tag(self, e: int) -> tuple[str, int, int | None]:
+        """Rule, line index and window of entry e, read as in
+        `Violation` (the window is None for rule A)."""
+        rule, index, first, _ = self.runs[bisect_right(self._firsts, e) - 1]
+        return rule, index, None if rule == "A" else e - first + 1
 
 
 @dataclass(frozen=True)
@@ -445,14 +459,9 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
                                         map(gt, counts, hi))))
     if not broken:
         return ViolationReport()
-    runs = rules.runs
-    firsts = [first for _, _, first, _ in runs]
     found = []
     for e in broken:
-        rule, index, first, _ = runs[bisect_right(firsts, e) - 1]
         cells = tuple(map(coords.__getitem__,
                           rules.cells[rules.starts[e]:rules.starts[e + 1]]))
-        found.append(Violation(rule, index,
-                               None if rule == "A" else e - first + 1,
-                               cells, counts[e], lo[e], hi[e]))
+        found.append(Violation(*rules.tag(e), cells, counts[e], lo[e], hi[e]))
     return ViolationReport(tuple(found))

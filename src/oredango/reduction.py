@@ -315,6 +315,15 @@ class VerificationResult:
     assignments: int
     puzzle_solutions: int
     problems: tuple[str, ...]
+    # True when the enumeration cap, one past `assignments`, stopped the
+    # count: the board has `puzzle_solutions` solutions or more
+    capped: bool = False
+
+    @property
+    def puzzle_count(self) -> str:
+        """`puzzle_solutions` as reported: `>=N` when the cap was reached,
+        as `solve --count` prints it."""
+        return f"{'>=' if self.capped else ''}{self.puzzle_solutions}"
 
 
 def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
@@ -342,8 +351,10 @@ def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
     accepted = enumerate_assignments(instance)
     outcome = solver.enumerate(board, cap=len(accepted) + 1)
     solutions = list(outcome.solutions)
+    capped = outcome.status is solver.SolveStatus.CAP_REACHED
     if len(solutions) != len(accepted):
-        problems.append(f"board has {len(solutions)} solutions, instance "
+        shown = f"{'>=' if capped else ''}{len(solutions)}"
+        problems.append(f"board has {shown} solutions, instance "
                         f"accepts {len(accepted)} assignments")
 
     solution_set = set(solutions)
@@ -374,7 +385,7 @@ def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
                             f"of {assignment}")
 
     return VerificationResult(not problems, len(accepted), len(solutions),
-                              tuple(problems))
+                              tuple(problems), capped)
 
 
 def format_reduction_map(reduced: ReducedPuzzle) -> str:

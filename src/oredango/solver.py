@@ -444,9 +444,17 @@ class BoundedCounts:
                 tried = sols.pop()
                 cur = lit >> 1
                 self._backtrack(top)
+                # Lower-level entries that a conflict left unpropagated may
+                # survive the pop, but propagating them never conflicts.
+                # The first pop follows a solution, with nothing pending,
+                # or a conflict whose level's subtree emitted a solution;
+                # later pops find nothing pending.  That solution extends
+                # the decisions below the popped level, so it agrees with
+                # every entry left (each is implied by the groups and the
+                # decisions at or below its level), and it meets every
+                # group and learned clause: none can be overspent or false.
                 conflict = self._propagate()
-                if conflict is not None:
-                    break
+                assert conflict is None
                 if lit & 1 and value[cur] <= 0:
                     if value[cur] < 0:
                         nodes += 1

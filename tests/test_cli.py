@@ -244,6 +244,17 @@ def test_verify_reduction_fail_line(capsys, monkeypatch):
         "assignment (0, 0, 1, 0) encodes to a non-solution"]
 
 
+def test_verify_reduction_fail_line_marks_a_capped_count(capsys,
+                                                        monkeypatch):
+    # without this clause-row circle the board has 4 solutions, and the
+    # enumeration stops at 3, one past the 2 accepted assignments
+    reduce_without(monkeypatch, (1, 6))
+    code, out, err = run(capsys, "verify-reduction", TWO_CNF)
+    assert (code, out) == (1, "FAIL puzzle=>=3 assignments=2\n")
+    assert err.splitlines()[0] \
+        == "board has >=3 solutions, instance accepts 2 assignments"
+
+
 def test_verify_reduction_rejects_large_instances(capsys, tmp_path):
     cnf = tmp_path / "wide.c13"
     cnf.write_text("p 1in3 7 3\n1 2 3 0\n4 5 6 0\n5 6 7 0\n")

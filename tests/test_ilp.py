@@ -3,9 +3,11 @@ import tracemalloc
 
 import pytest
 
+from conftest import FIXTURES
 from oredango import ilp, reduction, solver, textio
 from oredango.core import build_board, check_coloring
-from oracles import (highs_point, mask_oracle, random_board, reference_lp,
+from oracles import (highs_point, listed_rules, mask_oracle, random_board,
+                     reference_lp,
                      sized_instance)
 
 PAIRBLOCK_LP = """\
@@ -215,3 +217,69 @@ def test_export_lp_holds_its_text_about_twice(wide_reduced_board):
     finally:
         tracemalloc.stop()
     assert peak < 3 * len(text)
+
+
+def test_sample_lp_matches_the_golden_file(sample_board):
+    golden = (FIXTURES / "golden" / "sample4x4.lp").read_bytes()
+    assert ilp.export_lp(ilp.build_model(sample_board)).encode() == golden
+
+
+ROW_PREFIX = {"A": "sk", "B": "tb", "C": "tr", "D": "tc"}
+
+
+def test_model_rows_are_the_listed_rules(sample_board, pair_board,
+                                         wide_reduced_board):
+    rng = random.Random(7340)
+    boards = [sample_board, pair_board, wide_reduced_board]
+    boards += [random_board(rng) for _ in range(40)]
+    for board in boards:
+        listed = [ilp.LinearConstraint(
+                      ROW_PREFIX[rule] + str(line)
+                      + ("" if window is None else f"_{window}"),
+                      tuple(map(ilp.variable_name, cells)), lo, hi)
+                  for rule, line, window, cells, lo, hi in listed_rules(board)]
+        rows = ilp.build_model(board).constraints
+        assert len(rows) == len(listed)
+        assert list(rows) == listed
+        assert [rows[e] for e in range(len(rows))] == listed
+
+
+def test_model_rows_are_a_tuple_like_view(sample_board, pair_board):
+    model = ilp.build_model(sample_board)
+    rows = model.constraints
+    assert len(rows) == 21
+    listed = tuple(rows)
+    assert tuple(rows) == listed
+    assert rows[0].name == "sk1" and rows[-1].name == "tc4_1"
+    assert (rows[-1], rows[-21]) == (listed[20], listed[0])
+    for e in (21, -22):
+        with pytest.raises(IndexError):
+            rows[e]
+    assert rows == listed and listed == rows and rows != list(listed)
+    assert hash(rows) == hash(listed)
+    again = ilp.build_model(sample_board)
+    assert model == again and hash(model) == hash(again)
+    assert model == ilp.LinearModel(model.variables, listed, model.objective)
+    assert model != ilp.build_model(pair_board)
+
+
+def test_hand_built_rows_write_the_same_lp(wide_reduced_board):
+    model = ilp.build_model(wide_reduced_board)
+    assert len(model.constraints) > 2 * ilp._LP_BLOCK
+    listed = ilp.LinearModel(model.variables, tuple(model.constraints),
+                             model.objective)
+    assert ilp.export_lp(listed) == ilp.export_lp(model)
+
+
+def test_build_model_holds_no_object_per_row(wide_reduced_board):
+    # a LinearConstraint and a terms tuple per row came to 241 bytes per
+    # store entry; the names of the circles alone come to about 55
+    entries = len(wide_reduced_board.rules.lo)
+    tracemalloc.start()
+    try:
+        model = ilp.build_model(wide_reduced_board)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(model.constraints) == entries
+    assert held < 120 * entries

@@ -264,10 +264,10 @@ def test_verify_reduction_passes(three_clause):
 
 
 @pytest.mark.parametrize("cell,role,counts,problem", [
-    ((2, 3), ("guard", -1), (1, 2),
+    ((2, 3), ("guard", -1), ("1", 2),
      "assignment (0, 0, 1, 0) encodes to a non-solution"),
     # three is the enumeration cap, one past the accepted count
-    ((1, 6), ("clause", 2), (3, 2),
+    ((1, 6), ("clause", 2), (">=3", 2),
      "board solution decodes to rejected assignment (1, 1, 0, 0)"),
 ])
 def test_verify_reduction_fails_without_a_literal_circle(monkeypatch, cell,
@@ -280,10 +280,23 @@ def test_verify_reduction_fails_without_a_literal_circle(monkeypatch, cell,
     reduce_without(monkeypatch, cell)
     result = reduction.verify_reduction(instance)
     assert not result.ok
-    assert (result.puzzle_solutions, result.assignments) == counts
+    assert (result.puzzle_count, result.assignments) == counts
     assert result.problems[0] == (f"board has {counts[0]} solutions, "
                                   f"instance accepts {counts[1]} assignments")
     assert problem in result.problems
+
+
+def test_verify_reduction_reports_a_capped_count_as_at_least(monkeypatch):
+    instance = textio.parse_one_in_three(fixture_text("two-clauses.c13"))
+    reduce_without(monkeypatch, (1, 6))
+    board = reduction.reduce(instance).board
+    assert len(solver.enumerate(board, cap=1000).solutions) == 4
+    result = reduction.verify_reduction(instance)
+    # the enumeration stops at its cap, one past the 2 accepted assignments
+    assert (result.puzzle_solutions, result.capped) == (3, True)
+    assert result.puzzle_count == ">=3"
+    assert result.problems[0] \
+        == "board has >=3 solutions, instance accepts 2 assignments"
 
 
 def test_verify_reduction_zero_solution_instances():
