@@ -307,6 +307,12 @@ def enumerate_assignments(instance: OneInThreeInstance) -> list[tuple[int, ...]]
     return accepted
 
 
+def _count_text(count: int, capped: bool) -> str:
+    """A solution count as reported: `>=N` when the enumeration cap
+    stopped it, as `solve --count` prints it."""
+    return f"{'>=' if capped else ''}{count}"
+
+
 @dataclass(frozen=True)
 class VerificationResult:
     """Outcome of an exhaustive instance/board cross-check."""
@@ -321,9 +327,8 @@ class VerificationResult:
 
     @property
     def puzzle_count(self) -> str:
-        """`puzzle_solutions` as reported: `>=N` when the cap was reached,
-        as `solve --count` prints it."""
-        return f"{'>=' if self.capped else ''}{self.puzzle_solutions}"
+        """`puzzle_solutions` as reported, `>=N` when capped."""
+        return _count_text(self.puzzle_solutions, self.capped)
 
 
 def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
@@ -353,7 +358,7 @@ def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
     solutions = list(outcome.solutions)
     capped = outcome.status is solver.SolveStatus.CAP_REACHED
     if len(solutions) != len(accepted):
-        shown = f"{'>=' if capped else ''}{len(solutions)}"
+        shown = _count_text(len(solutions), capped)
         problems.append(f"board has {shown} solutions, instance "
                         f"accepts {len(accepted)} assignments")
 

@@ -26,7 +26,7 @@ from operator import le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .core import (BLACK, WHITE, Board, Coloring, ColoringError, Coord,
-                   check_coloring)
+                   Rules, check_coloring)
 
 
 class SolveStatus(Enum):
@@ -477,13 +477,16 @@ class BoundedCounts:
         return self._value if self._root(seed) else None
 
 
+def rules_engine(rules: Rules, size: int) -> BoundedCounts:
+    """A rule store's entries as count groups over `size` variables."""
+    return BoundedCounts(size, rules.entries(rules.cells), rules.lo, rules.hi)
+
+
 def board_engine(board: Board) -> tuple[tuple[Coord, ...], BoundedCounts]:
     """Index a board's circles row-major and wrap `board.rules` as count
     groups over those indices."""
     coords = board.row_major
-    rules = board.rules
-    return coords, BoundedCounts(len(coords), rules.entries(rules.cells),
-                                 rules.lo, rules.hi)
+    return coords, rules_engine(board.rules, len(coords))
 
 
 def _seed_values(board: Board, partial: Mapping[Coord, str],

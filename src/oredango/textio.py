@@ -311,7 +311,7 @@ def write_coloring(coloring: Coloring, board: Board) -> str:
     """Grid text of a coloring over `board`; ColoringError beyond
     MAX_GRID_CELLS cells."""
     check_grid_size(board)
-    if coloring.cells != frozenset(board.circles):
+    if board.circles.keys() != coloring.cells:
         raise ColoringError("coloring does not cover the board's circles")
     blank = "." * board.cols
     # rows without circles share the blank template

@@ -34,10 +34,10 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def fresh_python(*args: str) -> subprocess.CompletedProcess:
+def fresh_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     """Run `args` in a new interpreter that imports the package from `src`."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60)
 
 

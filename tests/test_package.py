@@ -4,7 +4,7 @@ import ast
 import json
 import sys
 
-from conftest import SRC, fresh_python
+from conftest import FIXTURES, SRC, fresh_python
 
 SURFACE_PROBE = """
 import json, sys
@@ -52,3 +52,13 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_readme_library_snippet_runs():
+    root = SRC.parent
+    library = (root / "README.md").read_text().split("\n## Library\n", 1)[1]
+    snippet = library.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = fresh_python("-c", snippet, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    lp = (FIXTURES / "golden" / "sample4x4.lp").read_text()
+    assert proc.stdout == f"4\n{lp}\nTrue\n"
