@@ -123,7 +123,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise _Fail(2, "--limit must be at least 1") from err
     capped = outcome.status is solver.SolveStatus.CAP_REACHED
     if args.count:
-        print(f">={args.limit}" if capped else len(outcome.solutions))
+        print(solver.count_text(len(outcome.solutions), capped))
         return 0 if outcome.solutions else 1
     if capped:
         print(f"stopped at --limit {args.limit}", file=sys.stderr)

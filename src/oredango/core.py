@@ -91,18 +91,14 @@ class Rules:
 
     def cut(self, flat: Iterable[_T]) -> Iterator[tuple[_T, ...]]:
         """`flat`, one item per element of `cells`, cut lazily into one
-        tuple per entry.  A caller that drops each tuple before taking
-        the next lets `zip` refill it instead of making a new one."""
+        tuple per entry: the store's one cutter.  A caller that drops
+        each tuple before taking the next lets `zip` refill it instead
+        of making a new one; `list(rules.cut(...))` keeps them all."""
         flat = iter(flat)
         # zip over `size` references to one iterator takes `size` items at
         # a time (no entry is empty)
         return chain.from_iterable(islice(zip(*[flat] * size), run)
                                    for size, run in self._shape)
-
-    def entries(self, flat: Iterable[_T]) -> list[tuple[_T, ...]]:
-        """`flat`, one item per element of `cells`, cut into one tuple
-        per entry."""
-        return list(self.cut(flat))
 
     def tag(self, e: int) -> tuple[str, int, int | None]:
         """Rule, line index and window of entry e, read as in
@@ -213,16 +209,6 @@ class Coloring:
     def __post_init__(self):
         if not self.blacks <= self.cells:
             raise ColoringError("black cells outside the colored domain")
-
-    @classmethod
-    def from_colors(cls, colors: Mapping[Coord, str]) -> "Coloring":
-        blacks = set()
-        for coord, color in colors.items():
-            if color == BLACK:
-                blacks.add(coord)
-            elif color != WHITE:
-                raise ColoringError(f"bad color {color!r} at {coord}")
-        return cls(frozenset(colors), frozenset(blacks))
 
     def __getitem__(self, coord: Coord) -> str:
         if coord not in self.cells:
@@ -433,11 +419,11 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
 
     The report lists the broken entries of `board.rules` in store order:
     rule A by clued skewer, then the windows of B, C and D line by line.
-    Black counts are summed over one flag per circle with no tuple per
-    entry; coordinates are decoded only for the entries reported.  An
-    empty report means the coloring solves the board.  A coloring over
-    other circles raises ColoringError naming the first few missing and
-    extra coordinates.
+    Black counts are summed over one flag per circle as `Rules.cut`
+    hands each entry over, with no tuple kept per entry; coordinates are
+    decoded only for the entries reported.  An empty report means the
+    coloring solves the board.  A coloring over other circles raises
+    ColoringError naming the first few missing and extra coordinates.
     """
     if board.circles.keys() != coloring.cells:
         missing = _first(board.circles.keys() - coloring.cells)
@@ -448,12 +434,9 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
     coords = board.row_major
     rules = board.rules
     flags = bytes(map(coloring.blacks.__contains__, coords))
-    flat = map(getitem, repeat(flags), rules.cells)
-    counts: list[int] = []
-    # `sum` drops each entry's tuple before `zip` cuts the next, so `zip`
-    # refills one tuple instead of making one per entry
-    for size, run in rules._shape:
-        counts += map(sum, islice(zip(*[flat] * size), run))
+    # `sum` drops each tuple before `cut` takes the next, so one is refilled
+    counts = list(map(sum, rules.cut(map(getitem, repeat(flags),
+                                         rules.cells))))
     lo, hi = rules.lo, rules.hi
     broken = list(compress(count(), map(or_, map(gt, lo, counts),
                                         map(gt, counts, hi))))

@@ -59,16 +59,23 @@ class OneInThreeInstance:
     """Normalized instance: each clause a tuple of three signed literals
     sorted by variable (`sorted(literals, key=abs)`).
 
-    Clauses are sorted on construction, so an instance built directly
-    equals the one `one_in_three` builds from the same clauses.  The
-    literals are checked by `one_in_three`, the `.c13` reader and
-    `reduce`, not here.
+    The instance checks itself when it is made: a negative `nvars`, or a
+    clause with any finding of `clause_findings`, raises ReductionError
+    (the first finding, as `clause <k>: …`) before the clauses are sorted.
+    So every instance in hand holds valid clauses, and one built directly
+    equals the one `one_in_three` builds from the same clauses.
     """
 
     nvars: int
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
+        if self.nvars < 0:
+            raise ReductionError("variable count cannot be negative")
+        for pos, clause in enumerate(self.clauses, start=1):
+            findings = clause_findings(clause, self.nvars)
+            if findings:
+                raise ReductionError(f"clause {pos}: {findings[0][1]}")
         object.__setattr__(self, "clauses", tuple(
             tuple(sorted(clause, key=abs)) for clause in self.clauses))
 
@@ -80,7 +87,9 @@ def clause_findings(clause: Sequence[int], nvars: int) -> list[tuple[int, str]]:
         return [(0, f"three literals needed, found {len(clause)}")]
     found = []
     for k, lit in enumerate(clause):
-        if lit == 0:
+        if type(lit) is not int:
+            found.append((k, f"literal {lit!r} is not an integer"))
+        elif lit == 0:
             found.append((k, "zero literal (variables count from 1)"))
         elif abs(lit) > nvars:
             found.append((k, f"literal {lit} exceeds the {nvars} declared "
@@ -90,23 +99,11 @@ def clause_findings(clause: Sequence[int], nvars: int) -> list[tuple[int, str]]:
     return found
 
 
-def _check_clause(pos: int, clause: Sequence[int], nvars: int) -> None:
-    findings = clause_findings(clause, nvars)
-    if findings:
-        raise ReductionError(f"clause {pos}: {findings[0][1]}")
-
-
 def one_in_three(nvars: int,
                  clauses: Iterable[Iterable[int]]) -> OneInThreeInstance:
-    """Build a normalized instance from clauses of signed literals."""
-    if nvars < 0:
-        raise ReductionError("variable count cannot be negative")
-    normalized: list[list[int]] = []
-    for pos, raw in enumerate(clauses, start=1):
-        ints = [int(lit) for lit in raw]
-        _check_clause(pos, ints, nvars)
-        normalized.append(ints)
-    return OneInThreeInstance(nvars, tuple(normalized))
+    """Build a normalized instance from clauses of signed int literals;
+    the instance checks them as it is made."""
+    return OneInThreeInstance(nvars, tuple(map(tuple, clauses)))
 
 
 @dataclass(frozen=True)
@@ -153,12 +150,10 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     """Translate an instance into a board with matching solutions.
 
     The board spans 4m-2 + n*max(0, m-2) rows and 4n+1 columns, where m
-    is the laid-out clause count (a lone clause is doubled).  Raises
-    ReductionError for empty instances, clauses over fewer than three
-    distinct variables, or variables in no clause.
+    is the laid-out clause count (a lone clause is doubled).  The clauses
+    were checked when the instance was made; raises ReductionError for an
+    instance without variables or clauses, or with variables in no clause.
     """
-    for pos, clause in enumerate(instance.clauses, start=1):
-        _check_clause(pos, clause, instance.nvars)
     n = instance.nvars
     if n < 1:
         raise ReductionError("an instance needs at least one variable")
@@ -240,21 +235,22 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
 
 
 def _values(instance_size: int, assignment: Sequence[int]) -> list[int]:
-    values = [int(v) for v in assignment]
-    if len(values) != instance_size:
-        raise ReductionError(f"assignment covers {len(values)} variables, "
+    if len(assignment) != instance_size:
+        raise ReductionError(f"assignment covers {len(assignment)} variables, "
                              f"board encodes {instance_size}")
-    if any(v not in (0, 1) for v in values):
+    # test the raw values, so that int() truncates nothing
+    if any(v not in (0, 1) for v in assignment):
         raise ReductionError("assignment values must be 0 or 1")
-    return values
+    return list(map(int, assignment))
 
 
 def assignment_to_coloring(reduced: ReducedPuzzle,
                            assignment: Sequence[int]) -> Coloring:
     """Canonical coloring encoding an assignment.
 
-    Total for every 0/1 vector of the right length; the result solves the
-    board exactly when the assignment satisfies the source instance.
+    Total for every 0/1 vector of the right length, and any other value
+    (2, 1.7 or "0") raises ReductionError; the result solves the board
+    exactly when the assignment satisfies the source instance.
     """
     meta = reduced.layout_meta
     values = _values(meta.nvars, assignment)
@@ -297,20 +293,12 @@ def enumerate_assignments(instance: OneInThreeInstance) -> list[tuple[int, ...]]
     """All accepted assignments by exhaustive scan, lexicographic order."""
     if instance.nvars > 24:
         raise ReductionError("exhaustive scan is limited to 24 variables")
-    for pos, clause in enumerate(instance.clauses, start=1):
-        _check_clause(pos, clause, instance.nvars)
     accepted = []
     for bits in itertools.product((0, 1), repeat=instance.nvars):
         if all(sum(_truth(lit, bits) for lit in clause) == 1
                for clause in instance.clauses):
             accepted.append(bits)
     return accepted
-
-
-def _count_text(count: int, capped: bool) -> str:
-    """A solution count as reported: `>=N` when the enumeration cap
-    stopped it, as `solve --count` prints it."""
-    return f"{'>=' if capped else ''}{count}"
 
 
 @dataclass(frozen=True)
@@ -328,7 +316,7 @@ class VerificationResult:
     @property
     def puzzle_count(self) -> str:
         """`puzzle_solutions` as reported, `>=N` when capped."""
-        return _count_text(self.puzzle_solutions, self.capped)
+        return solver.count_text(self.puzzle_solutions, self.capped)
 
 
 def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
@@ -358,7 +346,7 @@ def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
     solutions = list(outcome.solutions)
     capped = outcome.status is solver.SolveStatus.CAP_REACHED
     if len(solutions) != len(accepted):
-        shown = _count_text(len(solutions), capped)
+        shown = solver.count_text(len(solutions), capped)
         problems.append(f"board has {shown} solutions, instance "
                         f"accepts {len(accepted)} assignments")
 

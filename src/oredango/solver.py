@@ -35,6 +35,12 @@ class SolveStatus(Enum):
     CAP_REACHED = "cap_reached"
 
 
+def count_text(count: int, capped: bool) -> str:
+    """A solution count as reported: `>=N` when the cap stopped the
+    enumeration (status CAP_REACHED), else the exact count."""
+    return f">={count}" if capped else str(count)
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     """Search result: found solutions plus the branch count `nodes`."""
@@ -101,7 +107,7 @@ class BoundedCounts:
     cap semantics are those of plain depth-first search.
     """
 
-    def __init__(self, nvars: int, members: Sequence[Sequence[int]],
+    def __init__(self, nvars: int, members: Iterable[Sequence[int]],
                  lows: Sequence[int], highs: Sequence[int]):
         self.nvars = nvars
         self._members: list[tuple[int, ...]] = list(map(tuple, members))
@@ -479,7 +485,7 @@ class BoundedCounts:
 
 def rules_engine(rules: Rules, size: int) -> BoundedCounts:
     """A rule store's entries as count groups over `size` variables."""
-    return BoundedCounts(size, rules.entries(rules.cells), rules.lo, rules.hi)
+    return BoundedCounts(size, rules.cut(rules.cells), rules.lo, rules.hi)
 
 
 def board_engine(board: Board) -> tuple[tuple[Coord, ...], BoundedCounts]:

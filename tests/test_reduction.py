@@ -40,16 +40,20 @@ def test_factory_normalizes_and_rejects():
     instance = reduction.one_in_three(4, [(-3, 1, 2), (4, -2, 1)])
     assert instance.clauses == ((1, 2, -3), (1, -2, 4))
 
-    with pytest.raises(ReductionError, match="zero literal"):
-        reduction.one_in_three(3, [(1, 0, 2)])
-    with pytest.raises(ReductionError, match="three literals"):
-        reduction.one_in_three(3, [(1, 2)])
-    with pytest.raises(ReductionError, match="beyond 3"):
-        reduction.one_in_three(3, [(1, 2, 4)])
-    with pytest.raises(ReductionError, match="variable twice"):
-        reduction.one_in_three(3, [(1, -1, 2)])
-    with pytest.raises(ReductionError, match="negative"):
-        reduction.one_in_three(-1, [])
+    # each bad instance fails the same way through the factory and
+    # through the instance itself
+    for nvars, clauses, message in [
+            (3, [(1, 0, 2)], "clause 1: zero literal"),
+            (3, [(1, 2)], "clause 1: three literals"),
+            (3, [(1, 2, 4)], "clause 1: literal 4 exceeds .* beyond 3"),
+            (3, [(1, -1, 2)], "clause 1: same variable twice"),
+            (-1, [], "variable count cannot be negative"),
+            # int() would truncate these to (1, 2, 3) and (0, 2, 3)
+            (3, [(1.9, "2", 3)], "clause 1: literal 1.9 is not an integer"),
+            (3, [(0.5, 2, 3)], "clause 1: literal 0.5 is not an integer")]:
+        for build in (reduction.one_in_three, reduction.OneInThreeInstance):
+            with pytest.raises(ReductionError, match=f"^{message}"):
+                build(nvars, tuple(clauses))
 
 
 def test_reduce_names_few_unused_variables_in_bounded_time():
@@ -95,12 +99,11 @@ def test_reduce_rejects_degenerate_instances():
         reduction.reduce(reduction.OneInThreeInstance(0, ()))
     with pytest.raises(ReductionError, match=r"in no clause: \[4\]"):
         reduction.reduce(reduction.one_in_three(4, [(1, 2, 3)]))
-    crooked = reduction.OneInThreeInstance(3, ((1, -1, 2),))
+    # a bad clause fails where the instance is made, before `reduce`
     with pytest.raises(ReductionError, match="three distinct"):
-        reduction.reduce(crooked)
-    beyond = reduction.OneInThreeInstance(2, ((1, 2, 3),))
+        reduction.OneInThreeInstance(3, ((1, -1, 2),))
     with pytest.raises(ReductionError, match="beyond 2"):
-        reduction.reduce(beyond)
+        reduction.OneInThreeInstance(2, ((1, 2, 3),))
 
 
 def test_reduce_takes_directly_built_unsorted_clauses():
@@ -236,8 +239,10 @@ def test_assignment_guards(three_clause):
     reduced = reduction.reduce(three_clause)
     with pytest.raises(ReductionError, match="covers 3 variables"):
         reduction.assignment_to_coloring(reduced, (1, 0, 0))
-    with pytest.raises(ReductionError, match="0 or 1"):
-        reduction.assignment_to_coloring(reduced, (1, 0, 2, 0))
+    # int() would truncate (1.7, 0.2, "0", 1) to the valid (1, 0, 0, 1)
+    for bad in ((1, 0, 2, 0), (1.7, 0.2, "0", 1)):
+        with pytest.raises(ReductionError, match="0 or 1"):
+            reduction.assignment_to_coloring(reduced, bad)
     blank = Coloring(frozenset(reduced.board.circles), frozenset())
     with pytest.raises(ReductionError, match="does not solve"):
         reduction.coloring_to_assignment(reduced, blank)
@@ -251,9 +256,8 @@ def test_enumerate_assignments(three_clause):
     wide = reduction.OneInThreeInstance(25, ())
     with pytest.raises(ReductionError, match="24 variables"):
         reduction.enumerate_assignments(wide)
-    zero = reduction.OneInThreeInstance(3, ((1, 2, 3), (0, 1, 2)))
     with pytest.raises(ReductionError, match="clause 2: zero literal"):
-        reduction.enumerate_assignments(zero)
+        reduction.OneInThreeInstance(3, ((1, 2, 3), (0, 1, 2)))
 
 
 def test_verify_reduction_passes(three_clause):
