@@ -38,13 +38,17 @@ def _read(path: str) -> str:
 
 def _load(parse, path: str, *context):
     """Parse the file at `path`; a structural ParseError exits 1, any
-    other unusable text exits 2, each diagnostic as FILE:LINE:COL."""
+    other unusable text exits 2.  The first 20 diagnostics print as
+    FILE:LINE:COL, then one line `FILE: (+K more)` counts the rest."""
     try:
         return parse(_read(path), *context)
     except textio.ParseError as err:
-        raise _Fail(1 if err.structural else 2,
-                    *(f"{path}:{d.line}:{d.column}: {d.message}"
-                      for d in err.diagnostics)) from err
+        found = err.diagnostics
+        lines = [f"{path}:{d.line}:{d.column}: {d.message}"
+                 for d in found[:20]]
+        if len(found) > 20:
+            lines.append(f"{path}: (+{len(found) - 20} more)")
+        raise _Fail(1 if err.structural else 2, *lines) from err
 
 
 def _emit(*outputs: tuple[str, str | None]) -> None:
@@ -114,13 +118,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     board = _load(textio.parse_board, args.board)
     if not args.count:
         _check_grid(board)
+    if args.limit < 1:
+        raise _Fail(2, "--limit must be at least 1")
     if not (args.count or args.all):
         outcome = solver.solve(board)
     else:
-        try:
-            outcome = solver.enumerate(board, args.limit)
-        except ValueError as err:
-            raise _Fail(2, "--limit must be at least 1") from err
+        outcome = solver.enumerate(board, args.limit)
     capped = outcome.status is solver.SolveStatus.CAP_REACHED
     if args.count:
         print(solver.count_text(len(outcome.solutions), capped))

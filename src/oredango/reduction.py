@@ -34,6 +34,11 @@ is true.  A single-clause instance is laid out with the clause doubled,
 which leaves the accepted assignments unchanged.  Each variable's value
 is read back from its negative-literal circle in row 3, the top row of
 the first band.
+
+The canonical encoding of an assignment reads each circle's colour from
+the board alone: a clued loner (an anchor or a separator) is black for
+clue 1; any other circle sits in a literal column and is black when that
+literal is true, or on a band's two-circle skewer when it is false.
 """
 
 from __future__ import annotations
@@ -107,34 +112,14 @@ def one_in_three(nvars: int,
 
 
 @dataclass(frozen=True)
-class LayoutMeta:
-    """Role tags of the reduced board's rows and columns.
-
-    Row tags: ("clause", i), ("guard", i), ("band", i, 0 or 1), and
-    ("spacer", i, v).  Column tags: ("anchor", side), ("lit", v or -v),
-    ("black_sep", v), and ("white_sep", v).
-    """
-
-    nvars: int
-    nclauses: int
-    row_tags: Mapping[int, tuple]
-    col_tags: Mapping[int, tuple]
-
-
-@dataclass(frozen=True)
 class ReducedPuzzle:
     board: Board
     literal_cells: Mapping[tuple[int, int], Coord]
     variable_readout: Mapping[int, Coord]
-    layout_meta: LayoutMeta
 
 
 def _col(lit: int) -> int:
     return 4 * abs(lit) - 2 + (lit < 0)
-
-
-def _truth(lit: int, values: Sequence[int]) -> int:
-    return values[abs(lit) - 1] ^ (lit < 0)
 
 
 def _unused(used: set[int], n: int, shown: int = 10) -> str:
@@ -170,16 +155,6 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     m = len(clauses)
     right = 4 * n + 1
 
-    col_tags: dict[int, tuple] = {1: ("anchor", "left"),
-                                  right: ("anchor", "right")}
-    for v in range(1, n + 1):
-        col_tags[4 * v - 2] = ("lit", v)
-        col_tags[4 * v - 1] = ("lit", -v)
-        col_tags[4 * v] = ("black_sep", v)
-        if v < n:
-            col_tags[4 * v + 1] = ("white_sep", v)
-
-    row_tags: dict[int, tuple] = {}
     circles: list[tuple] = []
     skewers: list[list[Coord]] = []
     literal_cells: dict[tuple[int, int], Coord] = {}
@@ -189,14 +164,12 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     for i, clause in enumerate(clauses, start=1):
         ordered = sorted(clause, key=_col)
         r += 1
-        row_tags[r] = ("clause", i)
         circles += [(r, 1, 1), (r, right, 1)]
         for lit in ordered:
             cell = (r, _col(lit))
             circles.append(cell)
             literal_cells.setdefault((1 if doubled else i, lit), cell)
         r += 1
-        row_tags[r] = ("guard", i)
         guards = (-ordered[0], -ordered[2])
         circles += [(r, 1, 0), (r, right, 0)]
         circles += [(r, _col(lit)) for lit in guards]
@@ -208,7 +181,6 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
             taken = {_col(lit) for lit in (*ordered, *guards)}
             for v in range(1, n + 1):
                 r += 1
-                row_tags[r] = ("spacer", i, v)
                 circles += [(r, column) for column in (4 * v - 2, 4 * v - 1)
                             if column not in taken]
                 circles.append((r, 4 * v, 0))
@@ -217,8 +189,6 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
 
         # the pair band, rows t and r
         t, r = r + 1, r + 2
-        row_tags[t] = ("band", i, 0)
-        row_tags[r] = ("band", i, 1)
         for v in range(1, n + 1):
             pos, neg = 4 * v - 2, 4 * v - 1
             circles += [(t, pos, 1), (r, pos, 1), (t, neg), (r, neg),
@@ -230,8 +200,7 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     board = build_board(r, right, circles, skewers)
     # row 3 is the top row of the first band, below the first strip
     readout = {v: (3, 4 * v - 1) for v in range(1, n + 1)}
-    meta = LayoutMeta(n, m, row_tags, col_tags)
-    return ReducedPuzzle(board, literal_cells, readout, meta)
+    return ReducedPuzzle(board, literal_cells, readout)
 
 
 def _values(instance_size: int, assignment: Sequence[int]) -> list[int]:
@@ -252,25 +221,21 @@ def assignment_to_coloring(reduced: ReducedPuzzle,
     (2, 1.7 or "0") raises ReductionError; the result solves the board
     exactly when the assignment satisfies the source instance.
     """
-    meta = reduced.layout_meta
-    values = _values(meta.nvars, assignment)
+    values = _values(len(reduced.variable_readout), assignment)
+    # true[c]: the truth of column c's literal, 0 in the other columns
+    true = [0, 0] + [x for b in values for x in (b, b ^ 1, 0, 0)]
     circles = reduced.board.circles
     blacks = []
-    for cell in circles:
-        row, column = cell
-        kind = meta.row_tags[row][0]
-        tag = meta.col_tags[column]
-        if tag[0] == "anchor":
-            black = kind == "clause"
-        elif tag[0] == "black_sep":
-            black = kind == "band"
-        elif tag[0] == "white_sep":
-            black = kind == "spacer"
+    for path in reduced.board.skewers:
+        if len(path) == 2:
+            for cell in path:
+                if not true[cell[1]]:
+                    blacks.append(cell)
         else:
-            value = _truth(tag[1], values)
-            black = not value if kind == "band" else bool(value)
-        if black:
-            blacks.append(cell)
+            cell, = path
+            clue = circles[cell]
+            if true[cell[1]] if clue is None else clue:
+                blacks.append(cell)
     return Coloring(frozenset(circles), frozenset(blacks))
 
 
@@ -278,7 +243,8 @@ def coloring_to_assignment(reduced: ReducedPuzzle,
                            coloring: Coloring) -> tuple[int, ...]:
     """Read the encoded assignment back from a solving coloring.
 
-    Raises ReductionError when the coloring does not solve the board.
+    Raises ReductionError when the coloring does not solve the board, and
+    ColoringError when it colours other circles than the board's.
     """
     report = check_coloring(reduced.board, coloring)
     if not report.ok:
@@ -295,7 +261,7 @@ def enumerate_assignments(instance: OneInThreeInstance) -> list[tuple[int, ...]]
         raise ReductionError("exhaustive scan is limited to 24 variables")
     accepted = []
     for bits in itertools.product((0, 1), repeat=instance.nvars):
-        if all(sum(_truth(lit, bits) for lit in clause) == 1
+        if all(sum(bits[abs(lit) - 1] ^ (lit < 0) for lit in clause) == 1
                for clause in instance.clauses):
             accepted.append(bits)
     return accepted
@@ -354,14 +320,15 @@ def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
     accepted_set = set(accepted)
     for assignment in accepted:
         coloring = assignment_to_coloring(reduced, assignment)
-        report = check_coloring(board, coloring)
-        if not report.ok:
+        try:
+            decoded = coloring_to_assignment(reduced, coloring)
+        except ReductionError:
             problems.append(f"assignment {assignment} encodes to a "
                             "non-solution")
             continue
         if coloring not in solution_set and len(solutions) == len(accepted):
             problems.append(f"encoding of {assignment} missed by the solver")
-        if coloring_to_assignment(reduced, coloring) != assignment:
+        if decoded != assignment:
             problems.append(f"assignment {assignment} does not survive the "
                             "round trip")
     for coloring in solutions:

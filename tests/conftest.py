@@ -47,7 +47,7 @@ def fixture_text(name: str) -> str:
 
 def reduce_without(monkeypatch, cell):
     """Make `reduction.reduce` leave the loner circle at `cell` off the
-    boards it returns, as a layout fault would, keeping maps and tags."""
+    boards it returns, as a layout fault would, keeping its cell maps."""
     honest = reduction.reduce
 
     def faulty(instance):

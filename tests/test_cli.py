@@ -58,6 +58,17 @@ def test_validate_exit_codes_split_by_diagnostic_kind(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_cli_prints_the_first_twenty_diagnostics(capsys, tmp_path):
+    noisy = tmp_path / "noisy.odg"
+    noisy.write_text("rows 2\ncols 2\n" + "bogus 1\n" * 25)
+    code, out, err = run(capsys, "validate", str(noisy))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        *(f"{noisy}:{line}:1: unknown directive `bogus`"
+          for line in range(3, 23)),
+        f"{noisy}: (+5 more)"]
+
+
 def test_check_clean_solution(capsys):
     code, out, err = run(capsys, "check", SAMPLE,
                          str(FIXTURES / "sample4x4.sol"))
@@ -155,9 +166,9 @@ def test_solve_all(capsys, tmp_path):
 
 
 def test_solve_usage_errors(capsys):
-    code, _, err = run(capsys, "solve", SAMPLE, "--limit", "0", "--count")
-    assert code == 2
-    assert "--limit must be at least 1" in err
+    for mode in (["--count"], ["--all"], []):
+        code, out, err = run(capsys, "solve", SAMPLE, "--limit", "0", *mode)
+        assert (code, out, err) == (2, "", "--limit must be at least 1\n")
     code, _, err = run(capsys, "solve", SAMPLE, "--all", "--count")
     assert code == 2
     assert "not allowed with" in err

@@ -140,7 +140,6 @@ def test_dimension_formula_on_random_instances():
         m = max(len(instance.clauses), 2)
         assert reduced.board.cols == 4 * n + 1
         assert reduced.board.rows == 4 * m - 2 + n * max(0, m - 2)
-        assert reduced.layout_meta.nclauses == m
 
 
 def test_reduced_boards_stay_within_target_fragment(three_clause):
@@ -148,30 +147,6 @@ def test_reduced_boards_stay_within_target_fragment(three_clause):
     assert all(len(path) <= 2 for path in board.skewers)
     clues = {clue for clue in board.circles.values() if clue is not None}
     assert clues <= {0, 1}
-
-
-def test_layout_tags(three_clause):
-    meta = reduction.reduce(three_clause).layout_meta
-    rows = [meta.row_tags[r] for r in sorted(meta.row_tags)]
-    assert rows[:4] == [("clause", 1), ("guard", 1),
-                        ("band", 1, 0), ("band", 1, 1)]
-    kinds = [tag[0] for tag in rows]
-    assert kinds.count("clause") == 3 and kinds.count("guard") == 3
-    assert kinds.count("band") == 4 and kinds.count("spacer") == 4
-    assert meta.col_tags[1] == ("anchor", "left")
-    assert meta.col_tags[17] == ("anchor", "right")
-    assert meta.col_tags[6] == ("lit", 2)
-    assert meta.col_tags[7] == ("lit", -2)
-    assert meta.col_tags[8] == ("black_sep", 2)
-    assert meta.col_tags[9] == ("white_sep", 2)
-
-
-def test_two_clause_layout_needs_no_spacers():
-    instance = reduction.one_in_three(4, [(1, 2, 3), (2, 3, 4)])
-    meta = reduction.reduce(instance).layout_meta
-    assert [meta.row_tags[r] for r in sorted(meta.row_tags)] == [
-        ("clause", 1), ("guard", 1), ("band", 1, 0), ("band", 1, 1),
-        ("clause", 2), ("guard", 2)]
 
 
 @pytest.mark.parametrize("name", ["three-clauses", "two-clauses",
@@ -194,29 +169,37 @@ def test_literal_cells_and_readout(three_clause):
     assert reduced.literal_cells[(2, -1)] == (5, 3)
     assert reduced.variable_readout == {1: (3, 3), 2: (3, 7),
                                         3: (3, 11), 4: (3, 15)}
+    # clause i's literals sit in the i-th row whose anchor carries clue 1,
+    # each in its literal's column
+    circles = reduced.board.circles
+    clause_rows = [r for r in range(1, reduced.board.rows + 1)
+                   if circles.get((r, 1)) == 1]
     for (i, lit), (row, column) in reduced.literal_cells.items():
-        assert reduced.layout_meta.row_tags[row] == ("clause", i)
-        assert reduced.layout_meta.col_tags[column] == ("lit", lit)
+        assert column == 4 * abs(lit) - 2 + (lit < 0)
+        assert row == clause_rows[i - 1]
 
 
 def test_single_clause_is_doubled():
     instance = reduction.one_in_three(3, [(1, 2, 3)])
     reduced = reduction.reduce(instance)
-    assert reduced.layout_meta.nclauses == 2
     assert reduced.board.rows == 6
     assert set(reduced.literal_cells) == {(1, 1), (1, 2), (1, 3)}
     outcome = solver.enumerate(reduced.board, cap=10)
     assert len(outcome.solutions) == 3
 
 
-def test_encoding_total_and_exact(three_clause):
-    reduced = reduction.reduce(three_clause)
+@pytest.mark.parametrize("name", ["three-clauses", "two-clauses",
+                                  "one-clause"])
+def test_encoding_total_and_exact(name):
+    instance = textio.parse_one_in_three(fixture_text(f"{name}.c13"))
+    reduced = reduction.reduce(instance)
     domain = frozenset(reduced.board.circles)
-    for bits in itertools.product((0, 1), repeat=4):
+    accepted = set(reduction.enumerate_assignments(instance))
+    for bits in itertools.product((0, 1), repeat=instance.nvars):
         coloring = reduction.assignment_to_coloring(reduced, bits)
         assert coloring.cells == domain
         assert check_coloring(reduced.board, coloring).ok \
-            == (bits == (1, 0, 0, 1))
+            == (bits in accepted)
 
 
 def test_assignment_round_trip(three_clause):
@@ -278,9 +261,13 @@ def test_verify_reduction_fails_without_a_literal_circle(monkeypatch, cell,
                                                          role, counts,
                                                          problem):
     instance = textio.parse_one_in_three(fixture_text("two-clauses.c13"))
-    meta = reduction.reduce(instance).layout_meta
-    assert (meta.row_tags[cell[0]][0], meta.col_tags[cell[1]]) \
-        == (role[0], ("lit", role[1]))
+    # both cells lie in the first strip: in its clause row, or in the
+    # guard row below it, and in their literal's column
+    kind, lit = role
+    placed = reduction.reduce(instance).literal_cells
+    clause_row = placed[(1, instance.clauses[0][0])][0]
+    assert cell == (clause_row + (kind == "guard"),
+                    4 * abs(lit) - 2 + (lit < 0))
     reduce_without(monkeypatch, cell)
     result = reduction.verify_reduction(instance)
     assert not result.ok
