@@ -38,16 +38,16 @@ def _read(path: str) -> str:
 
 def _load(parse, path: str, *context):
     """Parse the file at `path`; a structural ParseError exits 1, any
-    other unusable text exits 2.  The first 20 diagnostics print as
+    other unusable text exits 2.  The diagnostics the error holds (the
+    reader keeps the first `textio.MAX_DIAGNOSTICS`) print as
     FILE:LINE:COL, then one line `FILE: (+K more)` counts the rest."""
     try:
         return parse(_read(path), *context)
     except textio.ParseError as err:
-        found = err.diagnostics
         lines = [f"{path}:{d.line}:{d.column}: {d.message}"
-                 for d in found[:20]]
-        if len(found) > 20:
-            lines.append(f"{path}: (+{len(found) - 20} more)")
+                 for d in err.diagnostics]
+        if err.more:
+            lines.append(f"{path}: (+{err.more} more)")
         raise _Fail(1 if err.structural else 2, *lines) from err
 
 

@@ -284,39 +284,35 @@ def _canonical_path(path: Sequence[Coord]) -> tuple[Coord, ...]:
 
 
 def build_board(rows: int, cols: int,
-                circle_list: Iterable[Sequence[int]],
+                circles: Mapping[Coord, int | None],
                 skewer_list: Iterable[Sequence[Coord]] = ()) -> Board:
     """Validate and assemble a board.
 
-    `circle_list` holds (row, col) or (row, col, clue) entries.  Each entry
-    of `skewer_list` is a path over declared circles; circles on no path
-    become size-one skewers of their own, appended in row-major order.
-    Raises BoardError when any structural rule fails.  The error names the
-    first fault: circles in input order, then skewer paths in input order,
-    then clues by skewer number.
+    `circles` maps each (row, col) tuple to its clue or None, the form
+    `Board.circles` holds: the board keeps a dict copy keyed by the
+    caller's tuples, and `build_board(b.rows, b.cols, b.circles,
+    b.skewers) == b`.  Each entry of `skewer_list` is a path over declared
+    circles; circles on no path become size-one skewers of their own,
+    appended in row-major order.  Raises BoardError when any structural
+    rule fails.  The error names the first fault: circles in mapping
+    order, then skewer paths in input order, then clues by skewer number.
     """
     if rows < 1 or cols < 1:
         raise BoardError(f"grid must be at least 1x1, got {rows}x{cols}")
 
-    circles: dict[Coord, int | None] = {}
-    for entry in circle_list:
-        if len(entry) == 2:
-            # a (row, col) tuple is its own key
-            coord, clue = tuple(entry), None
+    circles = dict(circles)
+    for coord, clue in circles.items():
+        try:
             r, c = coord
-        elif len(entry) == 3:
-            r, c, clue = entry
-            coord = (r, c)
-        else:
-            raise BoardError(f"circle entry {tuple(entry)!r} not (r, c[, clue])")
-        if not (1 <= r <= rows and 1 <= c <= cols):
+            inside = 1 <= r <= rows and 1 <= c <= cols
+        except (TypeError, ValueError):
+            raise BoardError(
+                f"circle key {coord!r} is not (row, col)") from None
+        if not inside:
             raise BoardError(f"circle {coord} outside {rows}x{cols} grid",
                              coord=coord)
-        if coord in circles:
-            raise BoardError(f"circle {coord} declared twice", coord=coord)
         if clue is not None and clue < 0:
             raise BoardError(f"negative clue at {coord}", coord=coord)
-        circles[coord] = clue
 
     skewers: list[tuple[Coord, ...]] = []
     threaded: set[Coord] = set()
@@ -407,10 +403,12 @@ def triple_index(board: Board) -> TripleIndex:
     )
 
 
-def _first(coords: set[Coord], shown: int = 10) -> str:
-    """The `shown` smallest of `coords`, then a count of the rest."""
-    first = sorted(coords)[:shown]
-    rest = len(coords) - len(first)
+def capped_list(items: Iterable, total: int) -> str:
+    """The first ten of `items`, taken in order, then a count of the rest
+    of their `total`: the one writer of a bounded listing.  Takes at most
+    ten items, so a lazy `items` is scanned no further."""
+    first = list(islice(items, 10))
+    rest = total - len(first)
     return f"{first}" + (f" (+{rest} more)" if rest else "")
 
 
@@ -426,10 +424,12 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
     ColoringError naming the first few missing and extra coordinates.
     """
     if board.circles.keys() != coloring.cells:
-        missing = _first(board.circles.keys() - coloring.cells)
-        extra = _first(coloring.cells - board.circles.keys())
+        missing = board.circles.keys() - coloring.cells
+        extra = coloring.cells - board.circles.keys()
         raise ColoringError(
-            f"coloring domain mismatch: missing {missing}, extra {extra}")
+            f"coloring domain mismatch: missing "
+            f"{capped_list(sorted(missing), len(missing))}, "
+            f"extra {capped_list(sorted(extra), len(extra))}")
 
     coords = board.row_major
     rules = board.rules

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import solver
-from .core import BLACK, Board, Coloring, Coord, build_board, check_coloring
+from .core import (BLACK, Board, Coloring, Coord, build_board, capped_list,
+                   check_coloring)
 
 
 class ReductionError(ValueError):
@@ -122,15 +123,6 @@ def _col(lit: int) -> int:
     return 4 * abs(lit) - 2 + (lit < 0)
 
 
-def _unused(used: set[int], n: int, shown: int = 10) -> str:
-    """The first `shown` variables of 1..n outside `used`, then a count of
-    the rest.  The scan stops after at most len(used) + shown values."""
-    gaps = (v for v in range(1, n + 1) if v not in used)
-    first = list(itertools.islice(gaps, shown))
-    rest = n - len(used) - len(first)
-    return f"{first}" + (f" (+{rest} more)" if rest else "")
-
-
 def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     """Translate an instance into a board with matching solutions.
 
@@ -146,7 +138,9 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
         raise ReductionError("an instance needs at least one clause")
     used = {abs(lit) for clause in instance.clauses for lit in clause}
     if len(used) != n:
-        raise ReductionError(f"variables in no clause: {_unused(used, n)}")
+        unused = (v for v in range(1, n + 1) if v not in used)
+        raise ReductionError("variables in no clause: "
+                             + capped_list(unused, n - len(used)))
 
     clauses = list(instance.clauses)
     doubled = len(clauses) == 1
@@ -155,7 +149,7 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     m = len(clauses)
     right = 4 * n + 1
 
-    circles: list[tuple] = []
+    circles: dict[Coord, int | None] = {}
     skewers: list[list[Coord]] = []
     literal_cells: dict[tuple[int, int], Coord] = {}
     r = 0
@@ -164,15 +158,16 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     for i, clause in enumerate(clauses, start=1):
         ordered = sorted(clause, key=_col)
         r += 1
-        circles += [(r, 1, 1), (r, right, 1)]
+        circles[r, 1] = circles[r, right] = 1
         for lit in ordered:
             cell = (r, _col(lit))
-            circles.append(cell)
+            circles[cell] = None
             literal_cells.setdefault((1 if doubled else i, lit), cell)
         r += 1
         guards = (-ordered[0], -ordered[2])
-        circles += [(r, 1, 0), (r, right, 0)]
-        circles += [(r, _col(lit)) for lit in guards]
+        circles[r, 1] = circles[r, right] = 0
+        for lit in guards:
+            circles[r, _col(lit)] = None
         if i == m:
             break
 
@@ -181,21 +176,23 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
             taken = {_col(lit) for lit in (*ordered, *guards)}
             for v in range(1, n + 1):
                 r += 1
-                circles += [(r, column) for column in (4 * v - 2, 4 * v - 1)
-                            if column not in taken]
-                circles.append((r, 4 * v, 0))
+                for column in (4 * v - 2, 4 * v - 1):
+                    if column not in taken:
+                        circles[r, column] = None
+                circles[r, 4 * v] = 0
                 if v < n:
-                    circles.append((r, 4 * v + 1, 1))
+                    circles[r, 4 * v + 1] = 1
 
         # the pair band, rows t and r
         t, r = r + 1, r + 2
         for v in range(1, n + 1):
             pos, neg = 4 * v - 2, 4 * v - 1
-            circles += [(t, pos, 1), (r, pos, 1), (t, neg), (r, neg),
-                        (t, 4 * v, 1), (r, 4 * v, 1)]
+            circles[t, pos] = circles[r, pos] = 1
+            circles[t, neg] = circles[r, neg] = None
+            circles[t, 4 * v] = circles[r, 4 * v] = 1
             skewers += [[(t, pos), (r, neg)], [(r, pos), (t, neg)]]
             if v < n:
-                circles += [(t, 4 * v + 1, 0), (r, 4 * v + 1, 0)]
+                circles[t, 4 * v + 1] = circles[r, 4 * v + 1] = 0
 
     board = build_board(r, right, circles, skewers)
     # row 3 is the top row of the first band, below the first strip

@@ -10,7 +10,9 @@ Instance files (`.c13`) start with `p 1in3 <nvars> <nclauses>` and list
 each clause as three nonzero integers closed by `0`.
 
 All three readers skip blank lines and `#` comment lines, tolerate
-surplus whitespace and CRLF endings, and report every diagnostic with a
+surplus whitespace and CRLF endings, and read to the end of the text:
+the ParseError they raise holds the first MAX_DIAGNOSTICS diagnostics
+and counts the rest.  Each diagnostic has a
 1-based line and a column: the 1-based column of the token at fault, or
 column 0 when the diagnostic is about a whole line or file, which holds
 for a missing header, a grid-line or clause count that differs from the
@@ -48,18 +50,51 @@ class ParseDiagnostic:
     structural: bool = False
 
 
+# Diagnostics a ParseError holds, in reading order; a reader only counts
+# those past them, so hostile input fails in bounded memory.
+MAX_DIAGNOSTICS = 20
+
+
 class ParseError(ValueError):
-    def __init__(self, diagnostics):
+    """Unusable text: `diagnostics` holds the complaints a reader kept,
+    the first MAX_DIAGNOSTICS at most, in reading order, and `more`
+    counts the rest.  The message quotes the first three and counts the
+    others as `(+N more)`."""
+
+    def __init__(self, diagnostics, more: int = 0):
         self.diagnostics = tuple(diagnostics)
+        self.more = more
         parts = [f"line {d.line}: {d.message}" for d in self.diagnostics[:3]]
-        if len(self.diagnostics) > 3:
-            parts.append(f"(+{len(self.diagnostics) - 3} more)")
+        rest = len(self.diagnostics) + more - len(parts)
+        if rest:
+            parts.append(f"(+{rest} more)")
         super().__init__("; ".join(parts))
 
     @property
     def structural(self) -> bool:
         return bool(self.diagnostics) and all(d.structural
                                               for d in self.diagnostics)
+
+
+class _Found:
+    """A reader's diagnostics: the first MAX_DIAGNOSTICS kept, the rest
+    only counted, so that `+K more` stays exact without holding them."""
+
+    def __init__(self):
+        self.kept: list[ParseDiagnostic] = []
+        self.more = 0
+
+    def add(self, line: int, column: int, message: str,
+            raw: str | None = None) -> None:
+        """Keep one diagnostic while there is room, else count it.  Given
+        the line's text `raw`, `column` is a token index, located only for
+        a diagnostic that is kept."""
+        if len(self.kept) == MAX_DIAGNOSTICS:
+            self.more += 1
+            return
+        if raw is not None:
+            column = _columns(raw)[column]
+        self.kept.append(ParseDiagnostic(line, column, message))
 
 
 def _significant(text: str) -> Iterator[tuple[int, str]]:
@@ -73,7 +108,7 @@ def _significant(text: str) -> Iterator[tuple[int, str]]:
 def _columns(raw: str) -> list[int]:
     """The 1-based column of each token of `raw.split()`, which splits
     where `_TOKEN` does.  Readers split every line and locate its tokens
-    only on a line that a diagnostic names."""
+    only for a diagnostic that they keep."""
     return [m.start() + 1 for m in _TOKEN.finditer(raw)]
 
 
@@ -85,16 +120,18 @@ def _as_int(token: str) -> int | None:
 
 
 def parse_board(text: str) -> Board:
-    """Read a board file; raises ParseError carrying all diagnostics.
+    """Read a board file; raises ParseError with its first
+    MAX_DIAGNOSTICS diagnostics and a count of the rest.
 
     One pass reads and checks every line, and makes one coordinate tuple
-    per circle, which an unclued circle hands on to the board.
+    per circle, which keys its clue in the `{(row, col): clue}` mapping
+    handed to `build_board`, and so in the board.
     """
-    diags: list[ParseDiagnostic] = []
+    found = _Found()
     headers: dict[str, int] = {}
     header_line: dict[str, int] = {}
     pending = ["rows", "cols"]
-    circles: list[tuple[int, ...]] = []
+    circles: dict[Coord, int | None] = {}
     circle_line: dict[Coord, int] = {}
     skewers: list[list[Coord]] = []
     skewer_line: list[int] = []
@@ -109,16 +146,14 @@ def parse_board(text: str) -> Board:
         if pending:
             want = pending[0]
             if keyword != want:
-                diags.append(ParseDiagnostic(
+                raise ParseError([ParseDiagnostic(
                     lineno, _columns(raw)[0],
-                    f"expected `{want} <count>` header"))
-                raise ParseError(diags)
+                    f"expected `{want} <count>` header")])
             count = _as_int(tokens[1]) if len(tokens) == 2 else None
             if count is None:
-                diags.append(ParseDiagnostic(
+                raise ParseError([ParseDiagnostic(
                     lineno, _columns(raw)[0],
-                    f"`{want}` header takes one integer"))
-                raise ParseError(diags)
+                    f"`{want}` header takes one integer")])
             headers[want] = count
             header_line[want] = lineno
             pending.pop(0)
@@ -126,34 +161,29 @@ def parse_board(text: str) -> Board:
 
         if keyword == "circle":
             if len(tokens) not in (3, 4):
-                diags.append(ParseDiagnostic(
-                    lineno, _columns(raw)[0],
-                    "circle takes `circle <row> <col> [clue]`"))
+                found.add(lineno, 0,
+                          "circle takes `circle <row> <col> [clue]`", raw)
                 continue
             try:
                 r, c = int(tokens[1]), int(tokens[2])
                 clue = int(tokens[3]) if len(tokens) == 4 else None
             except ValueError:
-                diags += [ParseDiagnostic(lineno, column,
-                                          f"not an integer: `{token}`")
-                          for token, column in zip(tokens[1:],
-                                                   _columns(raw)[1:])
-                          if _as_int(token) is None]
+                for k, token in enumerate(tokens[1:], start=1):
+                    if _as_int(token) is None:
+                        found.add(lineno, k, f"not an integer: `{token}`",
+                                  raw)
                 continue
             coord = (r, c)
-            if coord in circle_line:
-                diags.append(ParseDiagnostic(
-                    lineno, _columns(raw)[0],
-                    f"circle {coord} already declared"))
+            if coord in circles:
+                found.add(lineno, 0, f"circle {coord} already declared", raw)
                 continue
             circle_line[coord] = lineno
-            circles.append(coord if clue is None else (r, c, clue))
+            circles[coord] = clue
         elif keyword == "skewer":
             pairs = tokens[1:]
             if len(pairs) < 4 or len(pairs) % 2:
-                diags.append(ParseDiagnostic(
-                    lineno, _columns(raw)[0],
-                    "skewer takes two or more `<row> <col>` pairs"))
+                found.add(lineno, 0,
+                          "skewer takes two or more `<row> <col>` pairs", raw)
                 continue
             try:
                 flat = list(map(int, pairs))
@@ -161,23 +191,20 @@ def parse_board(text: str) -> Board:
                 flat = None
             if flat is not None:
                 path = list(zip(flat[::2], flat[1::2]))
-                if all(map(circle_line.__contains__, path)):
+                if all(map(circles.__contains__, path)):
                     skewers.append(path)
                     skewer_line.append(lineno)
                     continue
-            diags += _skewer_faults(lineno, raw, pairs, circle_line)
+            _skewer_faults(found, lineno, raw, pairs, circles)
         elif keyword in ("rows", "cols"):
-            diags.append(ParseDiagnostic(
-                lineno, _columns(raw)[0], f"duplicate `{keyword}` header"))
+            found.add(lineno, 0, f"duplicate `{keyword}` header", raw)
         else:
-            diags.append(ParseDiagnostic(
-                lineno, _columns(raw)[0], f"unknown directive `{keyword}`"))
+            found.add(lineno, 0, f"unknown directive `{keyword}`", raw)
 
     if pending:
-        diags.append(ParseDiagnostic(
-            last, 0, f"missing `{pending[0]}` header"))
-    if diags:
-        raise ParseError(diags)
+        found.add(last, 0, f"missing `{pending[0]}` header")
+    if found.kept:
+        raise ParseError(found.kept, found.more)
 
     try:
         return build_board(headers["rows"], headers["cols"], circles, skewers)
@@ -196,23 +223,18 @@ def parse_board(text: str) -> Board:
                                           structural=True)]) from err
 
 
-def _skewer_faults(lineno: int, raw: str, pairs: list[str],
-                   declared: dict[Coord, int]) -> list[ParseDiagnostic]:
-    """Diagnostics of a faulty skewer line, pair by pair: the first
-    non-integer of a pair, else an undeclared circle at its row token."""
-    columns = _columns(raw)
-    found = []
+def _skewer_faults(found: _Found, lineno: int, raw: str, pairs: list[str],
+                   declared: dict[Coord, int | None]) -> None:
+    """Diagnose a faulty skewer line pair by pair: the first non-integer
+    of a pair, else an undeclared circle at its row token."""
     for k in range(0, len(pairs), 2):
         row, col = _as_int(pairs[k]), _as_int(pairs[k + 1])
         if row is None or col is None:
             bad = k if row is None else k + 1
-            found.append(ParseDiagnostic(
-                lineno, columns[bad + 1], f"not an integer: `{pairs[bad]}`"))
+            found.add(lineno, bad + 1, f"not an integer: `{pairs[bad]}`", raw)
         elif (row, col) not in declared:
-            found.append(ParseDiagnostic(
-                lineno, columns[k + 1],
-                f"skewer visits undeclared circle {(row, col)}"))
-    return found
+            found.add(lineno, k + 1,
+                      f"skewer visits undeclared circle {(row, col)}", raw)
 
 
 def write_board(board: Board) -> str:
@@ -242,7 +264,7 @@ def parse_coloring(text: str, board: Board) -> Coloring:
     A row is read whole when it has the board's shape; a row that does
     not is scanned cell by cell for its diagnostics.
     """
-    diags: list[ParseDiagnostic] = []
+    found = _Found()
     rows = list(_significant(text))
     if len(rows) != board.rows:
         last = rows[-1][0] if rows else 1
@@ -256,9 +278,8 @@ def parse_coloring(text: str, board: Board) -> Coloring:
         cells = raw.strip()
         lead = len(raw) - len(raw.lstrip())
         if len(cells) != board.cols:
-            diags.append(ParseDiagnostic(
-                lineno, lead + 1,
-                f"grid line holds {len(cells)} cells, board has {board.cols}"))
+            found.add(lineno, lead + 1, f"grid line holds {len(cells)} "
+                      f"cells, board has {board.cols}")
             continue
         # built only once a row of the file has the header's width, so a
         # short file costs no more than its text whatever the header says
@@ -278,17 +299,15 @@ def parse_coloring(text: str, board: Board) -> Coloring:
             column = lead + j
             if char == ".":
                 if coord in board.circles:
-                    diags.append(ParseDiagnostic(
-                        lineno, column, f"circle at {coord} needs B or W"))
+                    found.add(lineno, column,
+                              f"circle at {coord} needs B or W")
             elif char in (BLACK, WHITE):
                 if coord not in board.circles:
-                    diags.append(ParseDiagnostic(
-                        lineno, column, f"no circle at {coord}"))
+                    found.add(lineno, column, f"no circle at {coord}")
             else:
-                diags.append(ParseDiagnostic(
-                    lineno, column, f"bad cell character {char!r}"))
-    if diags:
-        raise ParseError(diags)
+                found.add(lineno, column, f"bad cell character {char!r}")
+    if found.kept:
+        raise ParseError(found.kept, found.more)
     return Coloring(frozenset(board.circles), frozenset(blacks))
 
 
@@ -335,7 +354,7 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
     if not lines:
         raise ParseError([ParseDiagnostic(
             1, 0, "missing `p 1in3 <nvars> <nclauses>` header")])
-    diags: list[ParseDiagnostic] = []
+    found = _Found()
     lineno, raw = lines[0]
     tokens = raw.split()
     nvars = _as_int(tokens[2]) if len(tokens) > 2 else None
@@ -349,9 +368,8 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
     body = lines[1:]
     if len(body) != nclauses:
         where = body[-1][0] if body else lineno
-        diags.append(ParseDiagnostic(
-            where, 0,
-            f"header promises {nclauses} clauses, found {len(body)}"))
+        found.add(where, 0,
+                  f"header promises {nclauses} clauses, found {len(body)}")
 
     clauses: list[list[int]] = []
     for lineno, raw in body:
@@ -361,24 +379,18 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
         except ValueError:
             bad = next(k for k, token in enumerate(tokens)
                        if _as_int(token) is None)
-            diags.append(ParseDiagnostic(
-                lineno, _columns(raw)[bad],
-                f"not an integer: `{tokens[bad]}`"))
+            found.add(lineno, bad, f"not an integer: `{tokens[bad]}`", raw)
             continue
         if len(values) != 4 or values[3] != 0:
-            diags.append(ParseDiagnostic(
-                lineno, _columns(raw)[0],
-                "clause line is three literals and a closing 0"))
+            found.add(lineno, 0,
+                      "clause line is three literals and a closing 0", raw)
             continue
-        findings = clause_findings(values[:3], nvars)
-        if findings:
-            columns = _columns(raw)
-            diags += [ParseDiagnostic(lineno, columns[k], message)
-                      for k, message in findings]
+        for k, message in clause_findings(values[:3], nvars):
+            found.add(lineno, k, message, raw)
         clauses.append(values[:3])
 
-    if diags:
-        raise ParseError(diags)
+    if found.kept:
+        raise ParseError(found.kept, found.more)
     return OneInThreeInstance(nvars, tuple(clauses))
 
 

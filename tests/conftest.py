@@ -53,8 +53,8 @@ def reduce_without(monkeypatch, cell):
     def faulty(instance):
         reduced = honest(instance)
         board = reduced.board
-        circles = [(*coord, clue) for coord, clue in board.circles.items()
-                   if coord != cell]
+        circles = {coord: clue for coord, clue in board.circles.items()
+                   if coord != cell}
         skewers = [path for path in board.skewers if len(path) > 1]
         return dataclasses.replace(reduced, board=build_board(
             board.rows, board.cols, circles, skewers))

@@ -180,7 +180,7 @@ def random_board(rng: random.Random, max_circles: int = 16,
         for coord in path:
             on_path[coord] = i
     clued_paths: set[int] = set()
-    circles: list[tuple] = []
+    circles: dict[core.Coord, int | None] = {}
     for coord in chosen:
         clue = None
         i = on_path.get(coord)
@@ -190,7 +190,7 @@ def random_board(rng: random.Random, max_circles: int = 16,
                 clued_paths.add(i)
         elif rng.random() < 0.6:
             clue = rng.randint(0, 1)
-        circles.append(coord + ((clue,) if clue is not None else ()))
+        circles[coord] = clue
     return core.build_board(rows, cols, circles, paths)
 
 

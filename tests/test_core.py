@@ -37,7 +37,7 @@ def test_build_board_assembles_sample(sample_board):
 
 
 def test_path_reversal_builds_the_same_board():
-    circles = [(1, 1), (1, 2), (2, 3, 1)]
+    circles = {(1, 1): None, (1, 2): None, (2, 3): 1}
     forward = build_board(2, 3, circles, [[(1, 1), (1, 2), (2, 3)]])
     backward = build_board(2, 3, circles, [[(2, 3), (1, 2), (1, 1)]])
     assert forward == backward
@@ -55,34 +55,37 @@ def test_circles_map_to_plain_clues(sample_board):
 
 
 def test_reversed_path_is_stored_as_a_canonical_tuple():
-    board = build_board(2, 3, [(1, 1), (1, 2), (2, 3, 1)],
+    board = build_board(2, 3, {(1, 1): None, (1, 2): None, (2, 3): 1},
                         [[(2, 3), (1, 2), (1, 1)]])
     assert board.skewers == (((1, 1), (1, 2), (2, 3)),)
     assert type(board.skewers[0]) is tuple
 
 
 def test_explicit_loner_path_joins_the_appendix():
-    explicit = build_board(1, 3, [(1, 1), (1, 3)], [[(1, 3)]])
-    implicit = build_board(1, 3, [(1, 1), (1, 3)])
+    explicit = build_board(1, 3, dict.fromkeys([(1, 1), (1, 3)]), [[(1, 3)]])
+    implicit = build_board(1, 3, dict.fromkeys([(1, 1), (1, 3)]))
     assert explicit == implicit
     assert explicit.skewers == (((1, 1),), ((1, 3),))
 
 
 @pytest.mark.parametrize("rows,cols,circles,skewers,fragment", [
-    (0, 3, [], [], "at least 1x1"),
-    (2, 2, [(1, 3)], [], "outside"),
-    (2, 2, [(1, 1), (1, 1, 2)], [], "twice"),
-    (2, 2, [(1, 1, -1)], [], "negative clue"),
-    (2, 2, [(1, 1)], [[(1, 1), (2, 2)], [(2, 2)]], "not a circle"),
-    (2, 2, [(1, 1), (2, 2)], [[(1, 1), (2, 2)], [(2, 2), (1, 1)]], "two skewers"),
-    (2, 2, [(1, 1), (2, 2)], [[(1, 1), (2, 2), (1, 1)]], "repeats"),
-    (3, 3, [(1, 1), (3, 3)], [[(1, 1), (3, 3)]], "jumps"),
-    (2, 2, [(1, 1, 1), (2, 2, 1)], [[(1, 1), (2, 2)]], "two clues"),
-    (2, 2, [(1, 1, 3), (2, 2)], [[(1, 1), (2, 2)]], "exceeds"),
-    (1, 1, [(1, 1, 2)], [], "exceeds"),
-    (2, 2, [(1,)], [], r"circle entry \(1,\) not \(r, c\[, clue\]\)"),
-    (2, 2, [(1, 1, 0, 2)], [], r"circle entry \(1, 1, 0, 2\) not"),
-    (2, 2, [(1, 1)], [[]], "skewer 1 has an empty path"),
+    (0, 3, {}, [], "at least 1x1"),
+    (2, 2, {(1, 3): None}, [], "outside"),
+    (2, 2, {1: None}, [], r"circle key 1 is not \(row, col\)"),
+    (2, 2, {(1, 1): -1}, [], "negative clue"),
+    (2, 2, {(1, 1): None}, [[(1, 1), (2, 2)], [(2, 2)]], "not a circle"),
+    (2, 2, {(1, 1): None, (2, 2): None},
+     [[(1, 1), (2, 2)], [(2, 2), (1, 1)]], "two skewers"),
+    (2, 2, {(1, 1): None, (2, 2): None}, [[(1, 1), (2, 2), (1, 1)]],
+     "repeats"),
+    (3, 3, {(1, 1): None, (3, 3): None}, [[(1, 1), (3, 3)]], "jumps"),
+    (2, 2, {(1, 1): 1, (2, 2): 1}, [[(1, 1), (2, 2)]], "two clues"),
+    (2, 2, {(1, 1): 3, (2, 2): None}, [[(1, 1), (2, 2)]], "exceeds"),
+    (1, 1, {(1, 1): 2}, [], "exceeds"),
+    (2, 2, {(1,): None}, [], r"circle key \(1,\) is not \(row, col\)"),
+    (2, 2, {(1, 1, 0): None}, [], r"circle key \(1, 1, 0\) is not"),
+    (2, 2, {(1, 1): None}, [[]], "skewer 1 has an empty path"),
+    (2, 2, {"ab": None}, [], "circle key 'ab' is not"),
 ])
 def test_build_board_rejections(rows, cols, circles, skewers, fragment):
     with pytest.raises(BoardError, match=fragment):
@@ -91,22 +94,22 @@ def test_build_board_rejections(rows, cols, circles, skewers, fragment):
 
 @pytest.mark.parametrize("rows,cols,circles,skewers,message,coord,skewer", [
     # explicit skewers come before loners, whatever their row-major place
-    (2, 3, [(1, 1, 2), (2, 2, 1), (2, 3, 1)], [[(2, 3), (2, 2)]],
+    (2, 3, {(1, 1): 2, (2, 2): 1, (2, 3): 1}, [[(2, 3), (2, 2)]],
      "skewer 1 carries two clues", (2, 3), 1),
-    # loners in row-major order, not in declaration order
-    (1, 3, [(1, 3, 2), (1, 1, 2)], [],
+    # loners in row-major order, not in mapping order
+    (1, 3, {(1, 3): 2, (1, 1): 2}, [],
      "clue 2 at (1, 1) exceeds skewer size 1", (1, 1), 1),
     # a one-circle path becomes a loner numbered in the appendix
-    (2, 3, [(1, 1), (1, 2), (1, 3), (2, 2, 2), (2, 3, 2)],
+    (2, 3, {(1, 1): None, (1, 2): None, (1, 3): None, (2, 2): 2, (2, 3): 2},
      [[(2, 2)], [(1, 1), (1, 2)]],
      "clue 2 at (2, 2) exceeds skewer size 1", (2, 2), 3),
     # a structural fault on a later skewer beats a clue fault on an earlier
-    (3, 3, [(1, 1, 1), (1, 2, 1), (3, 1), (3, 3)],
+    (3, 3, {(1, 1): 1, (1, 2): 1, (3, 1): None, (3, 3): None},
      [[(1, 1), (1, 2)], [(3, 1), (3, 3)]],
      "skewer 2 jumps from (3,1) to (3,3)", (3, 3), 2),
-    (2, 3, [(1, 1, 2), (2, 1), (2, 2, 3)], [[(2, 1), (2, 2)]],
+    (2, 3, {(1, 1): 2, (2, 1): None, (2, 2): 3}, [[(2, 1), (2, 2)]],
      "clue 3 at (2, 2) exceeds skewer size 2", (2, 2), 1),
-    (2, 3, [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 3, 3)],
+    (2, 3, {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1, (2, 3): 3},
      [[(2, 1), (2, 2)], [(1, 2), (1, 1)]],
      "skewer 1 carries two clues", (2, 2), 1),
 ])
@@ -116,6 +119,28 @@ def test_build_board_reports_the_first_clue_fault(rows, cols, circles, skewers,
         build_board(rows, cols, circles, skewers)
     assert (str(caught.value), caught.value.coord, caught.value.skewer) == (
         message, coord, skewer)
+
+
+def test_board_rebuilds_from_its_own_fields(sample_board, pair_board):
+    boards = [sample_board, pair_board]
+    boards += [textio.parse_board(fixture_text(f"golden/{name}.odg"))
+               for name in ("one-clause", "two-clauses", "three-clauses")]
+    rng = random.Random(2211)
+    boards += [random_board(rng) for _ in range(200)]
+    for board in boards:
+        assert build_board(board.rows, board.cols, board.circles,
+                           board.skewers) == board
+
+
+def test_board_keeps_the_callers_key_tuples():
+    key = (1, 2)
+    circles = {(1, 1): 1, key: None}
+    board = build_board(1, 2, circles)
+    kept, = (coord for coord in board.circles if coord == key)
+    assert kept is key
+    # a copy: the caller's later changes do not reach the board
+    circles[1, 1] = None
+    assert board.circles == {(1, 1): 1, (1, 2): None}
 
 
 def test_triple_index_windows(sample_board):
@@ -205,7 +230,8 @@ def test_domain_mismatch_names_a_bounded_sample():
 
 
 def test_rule_a_is_vacuous_without_a_clue():
-    board = build_board(1, 2, [(1, 1), (1, 2)], [[(1, 1), (1, 2)]])
+    board = build_board(1, 2, dict.fromkeys([(1, 1), (1, 2)]),
+                        [[(1, 1), (1, 2)]])
     for blacks in ([], [(1, 1)], [(1, 1), (1, 2)]):
         report = check_coloring(board, coloring_of(board, blacks))
         assert not [v for v in report if v.rule == "A"]
@@ -261,9 +287,7 @@ def test_deleting_an_empty_row_preserves_the_report():
         trials += 1
         gone = empty[0]
         shift = lambda c: (c[0] - 1, c[1]) if c[0] > gone else c
-        circles = [shift(c) + (() if board.circles[c] is None
-                               else (board.circles[c],))
-                   for c in board.row_major]
+        circles = {shift(c): board.circles[c] for c in board.row_major}
         skewers = [[shift(c) for c in path]
                    for path in board.skewers if len(path) >= 2]
         smaller = build_board(board.rows - 1, board.cols, circles, skewers)
@@ -343,8 +367,7 @@ def shifted(board, rows, cols, dr, dc):
     """`board` moved down by dr and right by dc inside a rows x cols header."""
     def move(coord):
         return (coord[0] + dr, coord[1] + dc)
-    circles = [move(c) + ((clue,) if clue is not None else ())
-               for c, clue in board.circles.items()]
+    circles = {move(c): clue for c, clue in board.circles.items()}
     paths = [[move(c) for c in path] for path in board.skewers if len(path) > 1]
     return build_board(rows, cols, circles, paths)
 
@@ -364,7 +387,7 @@ def test_constraints_cost_follows_circles_not_header():
     side, mid = 10 ** 6, 500_000
     row = [(mid, mid), (mid, mid + 1), (mid, mid + 2)]
     col = [(mid, mid), (mid + 1, mid), (mid + 2, mid)]
-    board = build_board(side, side, sorted(set(row + col)))
+    board = build_board(side, side, dict.fromkeys(sorted(set(row + col))))
     tracemalloc.start()
     try:
         rules = board.rules

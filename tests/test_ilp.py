@@ -68,7 +68,7 @@ def test_pairblock_lp_golden(pair_board):
 
 
 def test_empty_board_lp_golden():
-    model = ilp.build_model(build_board(3, 2, []))
+    model = ilp.build_model(build_board(3, 2, {}))
     assert ilp.export_lp(model) == "Minimize\n obj:\nSubject To\nBinaries\nEnd\n"
 
 
@@ -90,7 +90,7 @@ def test_solve_model_matches_board_solver(sample_board):
 
 
 def test_solve_model_reports_infeasible():
-    board = build_board(1, 3, [(1, 1, 1), (1, 2, 1), (1, 3, 1)])
+    board = build_board(1, 3, {(1, 1): 1, (1, 2): 1, (1, 3): 1})
     assert ilp.solve_model(ilp.build_model(board)) is None
 
 
@@ -153,7 +153,7 @@ def test_highs_reads_the_exported_lp_and_agrees_with_the_solver():
 def test_export_lp_equals_an_independent_writer(sample_board, pair_board,
                                                wide_reduced_board):
     rng = random.Random(5521)
-    boards = [sample_board, pair_board, build_board(3, 2, [])]
+    boards = [sample_board, pair_board, build_board(3, 2, {})]
     # an LP that spans more than two of `export_lp`'s blocks
     assert len(wide_reduced_board.rules.lo) > 2 * ilp._LP_BLOCK
     boards.append(wide_reduced_board)

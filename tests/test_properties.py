@@ -39,9 +39,8 @@ def boards(draw, max_side=5, max_circles=12):
         if draw(st.booleans()):
             clues[draw(st.sampled_from(path))] = draw(
                 st.integers(0, len(path)))
-    circles = [cell + ((clues[cell],) if cell in clues else ())
-               for cell in cells]
-    return build_board(rows, cols, circles, paths)
+    return build_board(rows, cols, {cell: clues.get(cell) for cell in cells},
+                       paths)
 
 
 @st.composite
@@ -78,11 +77,8 @@ def test_coloring_text_round_trips_on_slack_headers(board, extra_rows,
                                                     extra_cols, data):
     # the same circles and skewers under a header with empty rows and
     # columns added below and to the right
-    circles = [coord + (() if clue is None else (clue,))
-               for coord, clue in board.circles.items()]
-    paths = [path for path in board.skewers if len(path) >= 2]
     slack = build_board(board.rows + extra_rows, board.cols + extra_cols,
-                        circles, paths)
+                        board.circles, board.skewers)
     blacks = data.draw(st.sets(st.sampled_from(sorted(slack.circles)))
                        if slack.circles else st.just(set()))
     coloring = Coloring(frozenset(slack.circles), frozenset(blacks))

@@ -92,14 +92,14 @@ def test_board_and_model_enumeration_refuse_the_same_caps(pair_board, cap):
 
 
 def test_unsat_three_forced_blacks_in_a_row():
-    board = build_board(1, 3, [(1, 1, 1), (1, 2, 1), (1, 3, 1)])
+    board = build_board(1, 3, {(1, 1): 1, (1, 2): 1, (1, 3): 1})
     out = solver.solve(board)
     assert out.status is SolveStatus.UNSAT
     assert out.solutions == ()
 
 
 def test_board_without_circles_is_trivially_sat():
-    out = solver.solve(build_board(2, 2, []))
+    out = solver.solve(build_board(2, 2, {}))
     assert out.status is SolveStatus.SAT
     assert len(out.solutions) == 1
     assert out.solutions[0].cells == frozenset()
@@ -122,7 +122,7 @@ def test_propagate_completes_pairblock(pair_board):
 
 
 def test_propagate_window_forcing():
-    board = build_board(1, 3, [(1, 1), (1, 2), (1, 3)])
+    board = build_board(1, 3, dict.fromkeys([(1, 1), (1, 2), (1, 3)]))
     assert solver.propagate(board, {(1, 1): WHITE, (1, 2): WHITE}) \
         == {(1, 1): WHITE, (1, 2): WHITE, (1, 3): BLACK}
     assert solver.propagate(board, {(1, 1): BLACK, (1, 2): BLACK}) \

@@ -14,10 +14,11 @@ def diag_tuples(err):
 
 
 def test_parse_board_matches_direct_construction(sample_board):
-    direct = build_board(4, 4, [
-        (1, 1, 0), (1, 2), (1, 3), (1, 4, 4), (2, 1, 3), (2, 3), (3, 1),
-        (3, 2), (3, 4), (4, 1), (4, 2), (4, 3), (4, 4, 1),
-    ], [
+    direct = build_board(4, 4, {
+        (1, 1): 0, (1, 2): None, (1, 3): None, (1, 4): 4, (2, 1): 3,
+        (2, 3): None, (3, 1): None, (3, 2): None, (3, 4): None, (4, 1): None,
+        (4, 2): None, (4, 3): None, (4, 4): 1,
+    }, [
         [(4, 1), (3, 2), (2, 1), (1, 2), (1, 3)],
         [(3, 1), (4, 2), (4, 3), (3, 4), (2, 3), (1, 4)],
     ])
@@ -34,7 +35,7 @@ def test_parser_tolerates_noise(sample_board):
 
 def test_board_write_parse_round_trip(sample_board, pair_board):
     rng = random.Random(7311)
-    boards = [sample_board, pair_board, build_board(1, 1, [])]
+    boards = [sample_board, pair_board, build_board(1, 1, {})]
     boards += [random_board(rng) for _ in range(40)]
     for board in boards:
         text = textio.write_board(board)
@@ -45,7 +46,7 @@ def test_board_write_parse_round_trip(sample_board, pair_board):
 
 
 def test_write_board_canonical_shape():
-    board = build_board(1, 1, [])
+    board = build_board(1, 1, {})
     assert textio.write_board(board) == "rows 1\ncols 1\n"
 
 
@@ -158,7 +159,7 @@ def test_coloring_round_trip(sample_board):
 
 def test_write_coloring_refuses_grids_beyond_the_limit(sample_board,
                                                      monkeypatch):
-    huge = build_board(200_000, 200_000, [(1, 1)])
+    huge = build_board(200_000, 200_000, {(1, 1): None})
     lone = solver.solve(huge).solutions[0]
     with pytest.raises(ColoringError,
                        match="200000 x 200000 grid exceeds the .sol limit "
@@ -315,10 +316,25 @@ def test_board_diagnostics_pin_line_and_column(text, expected):
     assert not err.value.structural
 
 
+@pytest.mark.parametrize("read", [
+    lambda: textio.parse_board("rows 2\ncols 2\n" + "bogus 1\n" * 10_000),
+    lambda: textio.parse_coloring("x" * 10_000 + "\n",
+                                  build_board(1, 10_000, {})),
+    lambda: textio.parse_one_in_three("p 1in3 3 10000\n"
+                                      + "1 2 x 0\n" * 10_000),
+], ids=["board", "coloring", "c13"])
+def test_reader_holds_a_bounded_number_of_diagnostics(read):
+    with pytest.raises(textio.ParseError) as err:
+        read()
+    assert len(err.value.diagnostics) == textio.MAX_DIAGNOSTICS == 20
+    assert err.value.more == 9_980
+    assert str(err.value).endswith("; (+9997 more)")
+
+
 def test_board_reader_accepts_what_int_accepts():
     board = textio.parse_board(
         "rows 2\ncols 12\ncircle +1 1_0\ncircle 1 +1_1 +0\n")
-    assert board == build_board(2, 12, [(1, 10), (1, 11, 0)])
+    assert board == build_board(2, 12, {(1, 10): None, (1, 11): 0})
 
 
 # 5 x 6 header: rows 3 and 5 and columns 3 and 6 hold no circle
@@ -377,7 +393,7 @@ def test_parse_coloring_pins_every_one_cell_change(char):
 def test_parse_coloring_costs_the_file_not_the_header():
     # a one-cell row under a 10^7-column header is reported before any
     # row-wide template is built
-    board = build_board(1, 10**7, [(1, 1)])
+    board = build_board(1, 10**7, {(1, 1): None})
     tracemalloc.start()
     try:
         with pytest.raises(textio.ParseError) as err:
