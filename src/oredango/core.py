@@ -288,14 +288,16 @@ def build_board(rows: int, cols: int,
                 skewer_list: Iterable[Sequence[Coord]] = ()) -> Board:
     """Validate and assemble a board.
 
-    `circles` maps each (row, col) tuple to its clue or None, the form
-    `Board.circles` holds: the board keeps a dict copy keyed by the
-    caller's tuples, and `build_board(b.rows, b.cols, b.circles,
-    b.skewers) == b`.  Each entry of `skewer_list` is a path over declared
-    circles; circles on no path become size-one skewers of their own,
-    appended in row-major order.  Raises BoardError when any structural
-    rule fails.  The error names the first fault: circles in mapping
-    order, then skewer paths in input order, then clues by skewer number.
+    `circles` maps each (row, col) tuple of ints to its int clue or
+    None, the form `Board.circles` holds: the board keeps a dict copy
+    keyed by the caller's tuples, and `build_board(b.rows, b.cols,
+    b.circles, b.skewers) == b`.  A row, column or clue must be exactly
+    an `int`; a `bool` or a float is a fault.  Each entry of
+    `skewer_list` is a path over declared circles; circles on no path
+    become size-one skewers of their own, appended in row-major order.
+    Raises BoardError when any structural rule fails.  The error names
+    the first fault: circles in mapping order, then skewer paths in input
+    order, then clues by skewer number.
     """
     if rows < 1 or cols < 1:
         raise BoardError(f"grid must be at least 1x1, got {rows}x{cols}")
@@ -304,15 +306,21 @@ def build_board(rows: int, cols: int,
     for coord, clue in circles.items():
         try:
             r, c = coord
-            inside = 1 <= r <= rows and 1 <= c <= cols
+            # exactly int, as a literal of a clause: not bool, not float
+            if type(r) is not int or type(c) is not int:
+                raise TypeError
         except (TypeError, ValueError):
             raise BoardError(
                 f"circle key {coord!r} is not (row, col)") from None
-        if not inside:
+        if not (1 <= r <= rows and 1 <= c <= cols):
             raise BoardError(f"circle {coord} outside {rows}x{cols} grid",
                              coord=coord)
-        if clue is not None and clue < 0:
-            raise BoardError(f"negative clue at {coord}", coord=coord)
+        if clue is not None:
+            if type(clue) is not int:
+                raise BoardError(f"clue {clue!r} at {coord} is not an int",
+                                 coord=coord)
+            if clue < 0:
+                raise BoardError(f"negative clue at {coord}", coord=coord)
 
     skewers: list[tuple[Coord, ...]] = []
     threaded: set[Coord] = set()

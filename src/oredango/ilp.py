@@ -1,14 +1,16 @@
-"""0-1 integer model of a board, LP-format export, and feasibility check.
+"""0-1 integer model of a board and its LP-format export.
 
 The model of one board has one binary variable per circle, 1 meaning
 black, and one row per entry of the board's flat rule store
 `Board.rules`, bounding the sum of its variables.  It holds its variable
 names and the store, nothing per row: its `constraints` make each
-`LinearConstraint` when it is read, `export_lp` streams its text from the
-store a row at a time and makes none of them, and the solver runs on the
-same count groups as the board solver.  The objective minimizes the total
-black count but carries no meaning here: any feasible point is a puzzle
-solution and vice versa.
+`LinearConstraint` when it is read, and `export_lp` streams its text from
+the store a row at a time and makes none of them.  The package does not
+solve the model: any 0-1 solver that reads LP text does, and its point
+maps back to a coloring through `variables`, whose (name, coord) pairs
+say which circle each variable stands for.  The objective minimizes the
+total black count but carries no meaning here: any feasible point is a
+puzzle solution and vice versa.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
-from .core import Board, Coloring, Coord, Rules
-from .solver import rules_engine
+from .core import Board, Coord, Rules
 
 
 class LinearConstraint(NamedTuple):
@@ -149,36 +150,3 @@ def export_lp(model: LinearModel) -> str:
                for base in range(0, len(names), 8)]
     blocks.append("End\n")
     return "".join(blocks)
-
-
-def solve_model(model: LinearModel) -> dict[str, int] | None:
-    """First feasible 0-1 point of the model, as `enumerate_model` orders
-    them, or None when infeasible."""
-    found = enumerate_model(model, 1)
-    return found[0] if found else None
-
-
-def enumerate_model(model: LinearModel, cap: int | None = None) -> list[dict[str, int]]:
-    """All feasible points (up to `cap`) in the solver's enumeration order;
-    a cap below 1 raises ValueError."""
-    names = _names(model)
-    _, found, _ = rules_engine(model.rules, len(names)).run(cap=cap)
-    return [dict(zip(names, values)) for values in found]
-
-
-def model_to_coloring(model: LinearModel, assignment: Mapping[str, int],
-                      board: Board) -> Coloring:
-    """Translate a feasible point back to a coloring of `board`."""
-    coords = board.row_major
-    if tuple(coord for _, coord in model.variables) != coords:
-        raise ValueError("model was built for a different board")
-    if set(assignment) != set(_names(model)):
-        raise ValueError("assignment does not cover the model's variables")
-    blacks = []
-    for name, coord in model.variables:
-        value = assignment[name]
-        if value not in (0, 1):
-            raise ValueError(f"variable {name} holds non-binary value {value!r}")
-        if value:
-            blacks.append(coord)
-    return Coloring(frozenset(coords), frozenset(blacks))

@@ -26,7 +26,7 @@ from operator import le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .core import (BLACK, WHITE, Board, Coloring, ColoringError, Coord,
-                   Rules, check_coloring)
+                   check_coloring)
 
 
 class SolveStatus(Enum):
@@ -483,16 +483,12 @@ class BoundedCounts:
         return self._value if self._root(seed) else None
 
 
-def rules_engine(rules: Rules, size: int) -> BoundedCounts:
-    """A rule store's entries as count groups over `size` variables."""
-    return BoundedCounts(size, rules.cut(rules.cells), rules.lo, rules.hi)
-
-
-def board_engine(board: Board) -> tuple[tuple[Coord, ...], BoundedCounts]:
-    """Index a board's circles row-major and wrap `board.rules` as count
-    groups over those indices."""
-    coords = board.row_major
-    return coords, rules_engine(board.rules, len(coords))
+def board_engine(board: Board) -> BoundedCounts:
+    """The entries of `board.rules` as count groups, one variable per
+    circle at its index in `board.row_major`."""
+    rules = board.rules
+    return BoundedCounts(len(board.circles), rules.cut(rules.cells),
+                         rules.lo, rules.hi)
 
 
 def _seed_values(board: Board, partial: Mapping[Coord, str],
@@ -519,8 +515,8 @@ def propagate(board: Board, partial: Mapping[Coord, str]) -> PartialColoring | N
     seed avoids.  It is not complete, so a non-None result is no
     guarantee that a solution exists.
     """
-    coords, engine = board_engine(board)
-    value = engine.deduce(_seed_values(board, partial, coords))
+    coords = board.row_major
+    value = board_engine(board).deduce(_seed_values(board, partial, coords))
     if value is None:
         return None
     return {coord: BLACK if val else WHITE
@@ -536,8 +532,8 @@ def enumerate(board: Board, cap: int) -> SolveOutcome:
     or UNSAT; `nodes` counts decision attempts, reproducible run to run.
     A cap below 1 raises ValueError.
     """
-    coords, engine = board_engine(board)
-    exhausted, found, nodes = engine.run(cap=cap)
+    coords = board.row_major
+    exhausted, found, nodes = board_engine(board).run(cap=cap)
     if not exhausted:
         status = SolveStatus.CAP_REACHED
     elif found:

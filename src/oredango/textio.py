@@ -132,7 +132,7 @@ def parse_board(text: str) -> Board:
     header_line: dict[str, int] = {}
     pending = ["rows", "cols"]
     circles: dict[Coord, int | None] = {}
-    circle_line: dict[Coord, int] = {}
+    circle_line: list[int] = []   # each circle's line, in declaration order
     skewers: list[list[Coord]] = []
     skewer_line: list[int] = []
     last = 1
@@ -177,8 +177,8 @@ def parse_board(text: str) -> Board:
             if coord in circles:
                 found.add(lineno, 0, f"circle {coord} already declared", raw)
                 continue
-            circle_line[coord] = lineno
             circles[coord] = clue
+            circle_line.append(lineno)
         elif keyword == "skewer":
             pairs = tokens[1:]
             if len(pairs) < 4 or len(pairs) % 2:
@@ -217,8 +217,8 @@ def parse_board(text: str) -> Board:
             line = header_line["cols"]
         elif err.skewer is not None and 1 <= err.skewer <= len(skewer_line):
             line = skewer_line[err.skewer - 1]
-        elif err.coord is not None and err.coord in circle_line:
-            line = circle_line[err.coord]
+        elif err.coord in circles:
+            line = circle_line[list(circles).index(err.coord)]
         raise ParseError([ParseDiagnostic(line, 0, str(err),
                                           structural=True)]) from err
 

@@ -86,6 +86,14 @@ def test_explicit_loner_path_joins_the_appendix():
     (2, 2, {(1, 1, 0): None}, [], r"circle key \(1, 1, 0\) is not"),
     (2, 2, {(1, 1): None}, [[]], "skewer 1 has an empty path"),
     (2, 2, {"ab": None}, [], "circle key 'ab' is not"),
+    (2, 2, {(1, 1): 0.5}, [], r"clue 0\.5 at \(1, 1\) is not an int"),
+    (2, 2, {(1, 1): True}, [], r"clue True at \(1, 1\) is not an int"),
+    (2, 2, {(1, 1): "1"}, [], r"clue '1' at \(1, 1\) is not an int"),
+    (2, 2, {(1.5, 2): None}, [], r"circle key \(1\.5, 2\) is not"),
+    (2, 2, {(1, True): None}, [], r"circle key \(1, True\) is not"),
+    # the first fault in mapping order, whichever kind it is
+    (2, 2, {(1, 1): 1.0, (3, 3): None}, [], "is not an int"),
+    (2, 2, {(3, 3): None, (1, 1): 1.0}, [], "outside"),
 ])
 def test_build_board_rejections(rows, cols, circles, skewers, fragment):
     with pytest.raises(BoardError, match=fragment):

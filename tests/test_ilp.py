@@ -5,9 +5,8 @@ import pytest
 
 from conftest import FIXTURES, fixture_text
 from oredango import ilp, reduction, solver, textio
-from oredango.core import build_board, check_coloring
-from oracles import (highs_point, listed_rules, mask_oracle, random_board,
-                     reference_lp,
+from oredango.core import Coloring, build_board, check_coloring
+from oracles import (highs_point, listed_rules, random_board, reference_lp,
                      sized_instance)
 
 PAIRBLOCK_LP = """\
@@ -81,56 +80,6 @@ def test_binaries_section_wraps_every_eight_names(sample_board):
         == [name for name, _ in ilp.build_model(sample_board).variables]
 
 
-def test_solve_model_matches_board_solver(sample_board):
-    model = ilp.build_model(sample_board)
-    point = ilp.solve_model(model)
-    assert point is not None
-    coloring = ilp.model_to_coloring(model, point, sample_board)
-    assert coloring == solver.solve(sample_board).solutions[0]
-
-
-def test_solve_model_reports_infeasible():
-    board = build_board(1, 3, {(1, 1): 1, (1, 2): 1, (1, 3): 1})
-    assert ilp.solve_model(ilp.build_model(board)) is None
-
-
-def test_enumerate_model_order(pair_board):
-    model = ilp.build_model(pair_board)
-    points = ilp.enumerate_model(model)
-    assert len(points) == 2
-    assert points[0]["x_1_1"] == 1 and points[1]["x_1_1"] == 0
-    assert ilp.enumerate_model(model, cap=1) == points[:1]
-
-
-def test_model_to_coloring_guards(sample_board, pair_board):
-    model = ilp.build_model(pair_board)
-    point = ilp.solve_model(model)
-    with pytest.raises(ValueError, match="different board"):
-        ilp.model_to_coloring(model, point, sample_board)
-    short = dict(point)
-    short.pop("x_1_1")
-    with pytest.raises(ValueError, match="does not cover"):
-        ilp.model_to_coloring(model, short, pair_board)
-    crooked = dict(point)
-    crooked["x_1_1"] = 2
-    with pytest.raises(ValueError, match="non-binary"):
-        ilp.model_to_coloring(model, crooked, pair_board)
-
-
-def test_model_solutions_equal_brute_force():
-    rng = random.Random(40812)
-    for _ in range(80):
-        board = random_board(rng)
-        model = ilp.build_model(board)
-        points = ilp.enumerate_model(model)
-        colorings = {ilp.model_to_coloring(model, p, board) for p in points}
-        assert colorings == mask_oracle(board)
-        assert len(points) == len(colorings)
-        for coloring in colorings:
-            assert check_coloring(board, coloring).ok
-        assert ilp.export_lp(model) == ilp.export_lp(ilp.build_model(board))
-
-
 def test_highs_reads_the_exported_lp_and_agrees_with_the_solver():
     pytest.importorskip("scipy")
     rng = random.Random(8158)
@@ -145,7 +94,9 @@ def test_highs_reads_the_exported_lp_and_agrees_with_the_solver():
         assert (point is not None) == bool(outcome.solutions)
         if point is not None:
             feasible += 1
-            coloring = ilp.model_to_coloring(model, point, board)
+            blacks = frozenset(coord for name, coord in model.variables
+                               if point[name])
+            coloring = Coloring(frozenset(board.circles), blacks)
             assert check_coloring(board, coloring).ok
     assert 0 < feasible < len(boards)
 

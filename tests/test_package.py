@@ -5,6 +5,7 @@ import json
 import sys
 
 from conftest import FIXTURES, SRC, fresh_python
+from oredango import textio
 
 SURFACE_PROBE = """
 import json, sys
@@ -62,3 +63,15 @@ def test_readme_library_snippet_runs():
     assert proc.returncode == 0, proc.stderr
     lp = (FIXTURES / "golden" / "sample4x4.lp").read_text()
     assert proc.stdout == f"4\n{lp}\nTrue\n"
+
+
+def test_readme_board_example_parses():
+    formats = (SRC.parent / "README.md").read_text().split(
+        "\n## File formats\n", 1)[1]
+    example = formats.split("```\n", 1)[1].split("```", 1)[0]
+    board = textio.parse_board(example)
+    assert (board.rows, board.cols) == (4, 4)
+    assert board.circles == {(1, 1): 0, (1, 2): None, (2, 1): None,
+                             (3, 2): None, (4, 1): None}
+    # the path is stored in its canonical direction
+    assert board.skewers == (((2, 1), (3, 2), (4, 1)), ((1, 1),), ((1, 2),))

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oredango import ilp, reduction, solver, textio
+from oredango import reduction, solver, textio
 from oredango.core import BLACK, WHITE, ColoringError, build_board, check_coloring
 from oredango.solver import BoundedCounts, SolveStatus
 from conftest import fixture_text
@@ -78,17 +78,10 @@ def test_cap_semantics(pair_board):
     assert len(solver.enumerate(pair_board, cap=1).solutions) == 1
 
 
-def test_cap_must_be_positive(pair_board):
-    with pytest.raises(ValueError, match="at least 1"):
-        solver.enumerate(pair_board, cap=0)
-
-
 @pytest.mark.parametrize("cap", [0, -3])
-def test_board_and_model_enumeration_refuse_the_same_caps(pair_board, cap):
+def test_cap_must_be_positive(pair_board, cap):
     with pytest.raises(ValueError, match="^cap must be at least 1$"):
         solver.enumerate(pair_board, cap=cap)
-    with pytest.raises(ValueError, match="^cap must be at least 1$"):
-        ilp.enumerate_model(ilp.build_model(pair_board), cap=cap)
 
 
 def test_unsat_three_forced_blacks_in_a_row():
@@ -271,9 +264,6 @@ def test_reduced_enumeration_follows_the_assignments(planted):
                            for a in reduction.enumerate_assignments(instance)),
                           key=lambda s: lex_key(board, s))
         assert list(solver.enumerate(board, cap=1 << 20).solutions) == expected
-        model = ilp.build_model(board)
-        assert [ilp.model_to_coloring(model, point, board)
-                for point in ilp.enumerate_model(model)] == expected
 
 
 @pytest.mark.parametrize("seed, planted", [(1, False), (4, True)])
@@ -308,11 +298,6 @@ def test_reduced_n10_corpus_solves_to_the_least_encoding():
         assert list(out.solutions) == expected
         assert out.status is (SolveStatus.SAT if expected
                               else SolveStatus.UNSAT)
-        model = ilp.build_model(board)
-        point = ilp.solve_model(model)
-        found = (None if point is None
-                 else ilp.model_to_coloring(model, point, board))
-        assert found == (expected[0] if expected else None)
         if planted:
             assert expected
 

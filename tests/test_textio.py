@@ -119,6 +119,31 @@ def test_board_structural_diagnostics(text, fragment):
     assert err.value.diagnostics[0].line > 0
 
 
+@pytest.mark.parametrize("text,line,message", [
+    # a circle after the first, with comment lines before it
+    ("# a board\nrows 2\ncols 2\ncircle 1 1\n# off the grid\n\n"
+     "circle 3 1\n", 7, "circle (3, 1) outside 2x2 grid"),
+    ("rows 2\ncols 2\ncircle 1 1\n\ncircle 2 2 -1\ncircle 1 2\n", 5,
+     "negative clue at (2, 2)"),
+    # a loner is numbered after the skewer lines, so its circle's line
+    # is the one reported
+    ("rows 2\ncols 3\ncircle 1 1\ncircle 2 2\n# a loner\ncircle 1 3 2\n"
+     "skewer 1 1 2 2\n", 6, "clue 2 at (1, 3) exceeds skewer size 1"),
+    ("rows 3\ncols 3\ncircle 1 1\ncircle 2 2\ncircle 1 3\ncircle 3 1\n"
+     "skewer 1 1 2 2\n# the second skewer\nskewer 1 3 3 1\n", 9,
+     "skewer 2 jumps from (1,3) to (3,1)"),
+    ("rows 2\ncols 2\ncircle 1 1 1\ncircle 2 2\ncircle 1 2 1\n"
+     "circle 2 1 1\nskewer 1 1 2 2\n\nskewer 1 2 2 1\n", 9,
+     "skewer 2 carries two clues"),
+])
+def test_board_structural_fault_points_at_its_line(text, line, message):
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_board(text)
+    assert err.value.structural
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
+        == [(line, 0, message)]
+
+
 @pytest.mark.parametrize("text,line,grid", [
     ("rows 0\ncols 3\n", 1, "0x3"),
     ("# header\nrows 2\n\ncols -1\ncircle 1 1\n", 4, "2x-1"),
