@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oredango import reduction, solver, textio
+from oredango import ilp, reduction, solver, textio
 from oredango.core import BLACK, WHITE, ColoringError, build_board, check_coloring
 from oredango.solver import BoundedCounts, SolveStatus
 from conftest import fixture_text
@@ -78,10 +78,20 @@ def test_cap_semantics(pair_board):
     assert len(solver.enumerate(pair_board, cap=1).solutions) == 1
 
 
+def test_cap_must_be_positive(pair_board):
+    with pytest.raises(ValueError, match="^cap must be at least 1$"):
+        solver.enumerate(pair_board, cap=0)
+
+
 @pytest.mark.parametrize("cap", [0, -3])
-def test_cap_must_be_positive(pair_board, cap):
+def test_board_and_model_enumeration_refuse_the_same_caps(pair_board, cap):
     with pytest.raises(ValueError, match="^cap must be at least 1$"):
         solver.enumerate(pair_board, cap=cap)
+    rules = ilp.build_model(pair_board).rules
+    engine = BoundedCounts(len(pair_board.circles), rules.cut(rules.cells),
+                           rules.lo, rules.hi)
+    with pytest.raises(ValueError, match="^cap must be at least 1$"):
+        engine.run(cap=cap)
 
 
 def test_unsat_three_forced_blacks_in_a_row():
