@@ -13,18 +13,16 @@ import importlib
 
 from . import core, solver, textio
 from .core import (BLACK, WHITE, Board, BoardError, Coloring, ColoringError,
-                   TripleIndex, Violation, ViolationReport, build_board,
-                   check_coloring, triple_index)
+                   Violation, ViolationReport, build_board, check_coloring)
 from .solver import SolveOutcome, SolveStatus, another_solution, propagate, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BLACK", "WHITE", "Board", "BoardError", "Coloring", "ColoringError",
-    "SolveOutcome", "SolveStatus", "TripleIndex",
-    "Violation", "ViolationReport", "another_solution", "build_board",
-    "check_coloring", "core", "ilp", "propagate", "reduction", "solve",
-    "solver", "textio", "triple_index",
+    "SolveOutcome", "SolveStatus", "Violation", "ViolationReport",
+    "another_solution", "build_board", "check_coloring", "core", "ilp",
+    "propagate", "reduction", "solve", "solver", "textio",
 ]
 
 _LAZY = ("cli", "ilp", "reduction")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import (accumulate, chain, compress, count, groupby, islice,
                        repeat)
@@ -259,21 +259,20 @@ class Violation:
         return f"{head}: {self.observed} black at {cells}"
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    """All rule violations of one coloring, in deterministic order."""
+class ViolationReport(tuple[Violation, ...]):
+    """All rule violations of one coloring, in deterministic order: a
+    tuple of its `Violation`s, empty when the coloring solves the board."""
 
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self
 
-    def __iter__(self) -> Iterator[Violation]:
-        return iter(self.violations)
-
-    def __len__(self) -> int:
-        return len(self.violations)
+    @property
+    def violations(self) -> ViolationReport:
+        """The report itself, for callers that read it by this name."""
+        return self
 
 
 def _canonical_path(path: Sequence[Coord]) -> tuple[Coord, ...]:
@@ -448,11 +447,9 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
     lo, hi = rules.lo, rules.hi
     broken = list(compress(count(), map(or_, map(gt, lo, counts),
                                         map(gt, counts, hi))))
-    if not broken:
-        return ViolationReport()
     found = []
     for e in broken:
         cells = tuple(map(coords.__getitem__,
                           rules.cells[rules.starts[e]:rules.starts[e + 1]]))
         found.append(Violation(*rules.tag(e), cells, counts[e], lo[e], hi[e]))
-    return ViolationReport(tuple(found))
+    return ViolationReport(found)

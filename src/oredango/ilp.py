@@ -3,14 +3,14 @@
 The model of one board has one binary variable per circle, 1 meaning
 black, and one row per entry of the board's flat rule store
 `Board.rules`, bounding the sum of its variables.  It holds its variable
-names and the store, nothing per row: its `constraints` make each
-`LinearConstraint` when it is read, and `export_lp` streams its text from
-the store a row at a time and makes none of them.  The package does not
-solve the model: any 0-1 solver that reads LP text does, and its point
-maps back to a coloring through `variables`, whose (name, coord) pairs
-say which circle each variable stands for.  The objective minimizes the
-total black count but carries no meaning here: any feasible point is a
-puzzle solution and vice versa.
+names and the store, nothing per row: each read of its `constraints`
+lists one `LinearConstraint` per entry, and `export_lp` streams its text
+from the store a row at a time and makes none of them.  The package does
+not solve the model: any 0-1 solver that reads LP text does, and its
+point maps back to a coloring through `variables`, whose (name, coord)
+pairs say which circle each variable stands for.  The objective minimizes
+the total black count but carries no meaning here: any feasible point is
+a puzzle solution and vice versa.
 """
 
 from __future__ import annotations
@@ -64,22 +64,6 @@ def _stream(names: Sequence[str], rules: Rules
                rules.lo, rules.hi)
 
 
-class RuleRows:
-    """The rows of a model, one `LinearConstraint` per entry of its rule
-    store: it has a length and iterates in store order, making each row
-    as it is read."""
-
-    def __init__(self, names: Sequence[str], rules: Rules):
-        self._names = names
-        self._rules = rules
-
-    def __len__(self) -> int:
-        return len(self._rules.lo)
-
-    def __iter__(self) -> Iterator[LinearConstraint]:
-        return map(LinearConstraint._make, _stream(self._names, self._rules))
-
-
 @dataclass(frozen=True, eq=False)
 class LinearModel:
     """The 0-1 model of one board, as `build_model` makes it: its
@@ -94,9 +78,11 @@ class LinearModel:
         return (1,) * len(self.variables)
 
     @property
-    def constraints(self) -> RuleRows:
-        """One row per entry of `rules`, in store order."""
-        return RuleRows(_names(self), self.rules)
+    def constraints(self) -> list[LinearConstraint]:
+        """One row per entry of `rules`, in store order, made on each
+        read."""
+        return list(map(LinearConstraint._make,
+                        _stream(_names(self), self.rules)))
 
 
 def _names(model: LinearModel) -> list[str]:

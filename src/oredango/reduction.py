@@ -187,10 +187,13 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
         t, r = r + 1, r + 2
         for v in range(1, n + 1):
             pos, neg = 4 * v - 2, 4 * v - 1
-            circles[t, pos] = circles[r, pos] = 1
-            circles[t, neg] = circles[r, neg] = None
+            # one tuple per band circle, its key and its place on a skewer,
+            # so the board holds each band coordinate once
+            tp, rp, tn, rn = (t, pos), (r, pos), (t, neg), (r, neg)
+            circles[tp] = circles[rp] = 1
+            circles[tn] = circles[rn] = None
             circles[t, 4 * v] = circles[r, 4 * v] = 1
-            skewers += [[(t, pos), (r, neg)], [(r, pos), (t, neg)]]
+            skewers += [[tp, rn], [rp, tn]]
             if v < n:
                 circles[t, 4 * v + 1] = circles[r, 4 * v + 1] = 0
 
@@ -266,15 +269,19 @@ def enumerate_assignments(instance: OneInThreeInstance) -> list[tuple[int, ...]]
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of an exhaustive instance/board cross-check."""
+    """Outcome of an exhaustive instance/board cross-check: it passes
+    when it found no problems."""
 
-    ok: bool
     assignments: int
     puzzle_solutions: int
     problems: tuple[str, ...]
     # True when the enumeration cap, one past `assignments`, stopped the
     # count: the board has `puzzle_solutions` solutions or more
     capped: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
     @property
     def puzzle_count(self) -> str:
@@ -341,8 +348,8 @@ def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
             problems.append(f"board solution is not the canonical encoding "
                             f"of {assignment}")
 
-    return VerificationResult(not problems, len(accepted), len(solutions),
-                              tuple(problems), capped)
+    return VerificationResult(len(accepted), len(solutions), tuple(problems),
+                              capped)
 
 
 def format_reduction_map(reduced: ReducedPuzzle) -> str:

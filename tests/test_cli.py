@@ -80,6 +80,12 @@ def test_check_lists_violations_in_rule_order(capsys):
                        str(FIXTURES / "sample4x4-wrong-counts.sol"))
     assert code == 1
     assert out.splitlines() == CHECK_LINES
+    # the files that CI compares the installed command's output against
+    assert out == fixture_text("golden/sample4x4-wrong-counts.txt")
+    code, out, _ = run(capsys, "check", SAMPLE,
+                       str(FIXTURES / "sample4x4-wrong-triples.sol"))
+    assert (code, out) == (
+        1, fixture_text("golden/sample4x4-wrong-triples.txt"))
 
 
 def test_check_rejects_malformed_grid(capsys, tmp_path):

@@ -170,12 +170,15 @@ def test_published_coloring_is_clean(sample_board):
                                                       PUBLISHED_BLACKS))
     assert report.ok
     assert len(report) == 0
+    assert isinstance(report, tuple) and report.violations is report
 
 
 def test_count_violations_are_exact(sample_board):
     coloring = textio.parse_coloring(fixture_text("sample4x4-wrong-counts.sol"),
                                      sample_board)
     report = check_coloring(sample_board, coloring)
+    assert isinstance(report, tuple) and report.violations is report
+    assert not report.ok
     assert [(v.rule, v.index, v.window, v.observed) for v in report] == [
         ("A", 2, None, 3),
         ("B", 1, 2, 3),

@@ -158,6 +158,7 @@ def test_model_rows_are_the_listed_rules(sample_board, pair_board,
                       tuple(map(ilp.variable_name, cells)), lo, hi)
                   for rule, line, window, cells, lo, hi in listed_rules(board)]
         rows = ilp.build_model(board).constraints
+        assert type(rows) is list
         assert len(rows) == len(listed)
         assert list(rows) == listed
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -149,6 +150,18 @@ def test_reduced_boards_stay_within_target_fragment(three_clause):
     assert clues <= {0, 1}
 
 
+def test_band_skewers_hold_their_circle_keys(three_clause):
+    # one tuple per band circle: its skewer holds the board's own key
+    rng = random.Random(3)
+    for instance in [three_clause] + [random_instance(rng) for _ in range(5)]:
+        board = reduction.reduce(instance).board
+        keys = {coord: coord for coord in board.circles}
+        pairs = [coord for path in board.skewers if len(path) == 2
+                 for coord in path]
+        assert pairs
+        assert all(keys[coord] is coord for coord in pairs)
+
+
 @pytest.mark.parametrize("name", ["three-clauses", "two-clauses",
                                   "one-clause"])
 def test_reduce_reproduces_the_pinned_board_and_map(name):
@@ -248,6 +261,8 @@ def test_verify_reduction_passes(three_clause):
     assert result.ok
     assert (result.assignments, result.puzzle_solutions) == (1, 1)
     assert result.problems == ()
+    # `ok` is read from the problems, so the two cannot disagree
+    assert not dataclasses.replace(result, problems=("x",)).ok
 
 
 @pytest.mark.parametrize("cell,role,counts,problem", [
