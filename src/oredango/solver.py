@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from operator import le, sub
+from operator import le, mul, not_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .core import (BLACK, WHITE, Board, Coloring, ColoringError, Coord,
@@ -63,8 +63,12 @@ class BoundedCounts:
     counters: the zeros it can still take (`len(members[g]) - lows[g]`)
     and the ones it can still take (`highs[g]`).
     Setting a variable spends one unit of the matching counter in every
-    group that holds it; a counter at 0 forces the group's open members to
-    the other value, and one below 0 is a conflict.
+    group that holds it, when the variable is propagated; a counter at 0
+    forces the group's open members to the other value, and one below 0 is
+    a conflict.  Since the counters hold only propagated members, zeros +
+    ones - (`highs[g]` - `lows[g]`) is the number of members not yet
+    propagated, so a counter at 0 leaves a member open only while the
+    opposite counter exceeds that span; otherwise the group is not scanned.
 
     Branching always takes the lowest-index open variable, value 1 first,
     so depth-first order is lexicographic order (1 before 0).  A conflict
@@ -114,6 +118,8 @@ class BoundedCounts:
         # initial slack: zeros and ones each group can take
         self._zeros: list[int] = list(map(sub, map(len, self._members), lows))
         self._ones: list[int] = list(highs)
+        # zeros + ones - span is the number of members not yet propagated
+        self._span: list[int] = list(map(sub, highs, lows))
         self._feasible = (min(self._zeros, default=0) >= 0
                           and min(self._ones, default=0) >= 0
                           and all(map(le, lows, self._ones)))
@@ -161,6 +167,7 @@ class BoundedCounts:
         push = trail.append
         touching = self.touching
         members = self._members
+        span = self._span
         left = self._left
         watches = self._watches
         here = len(self._marks)
@@ -172,6 +179,7 @@ class BoundedCounts:
             q += 1
             val = lit & 1
             spend = left[val]
+            other = left[val ^ 1]
             # Nothing stands above the current level, so only an entry of a
             # lower level needs the highest level among a reason's members.
             at = level[lit >> 1]
@@ -181,6 +189,9 @@ class BoundedCounts:
                 if c <= 0:
                     if c:
                         bad = True
+                        continue
+                    if other[g] <= span[g]:
+                        # every member has been propagated, so none is open
                         continue
                     forced = val ^ 1
                     lv = here if at == here else -1
@@ -253,9 +264,16 @@ class BoundedCounts:
         val = lit & 1
         spend = self._left[val]
         level = self._level
-        return min((self._holding(g, val, q) for g in self.touching[lit >> 1]
-                    if spend[g] < 0),
-                   key=lambda lits: max([level[held >> 1] for held in lits]))
+        best = None
+        top = len(self._marks) + 1   # above every level
+        for g in self.touching[lit >> 1]:
+            if spend[g] < 0:
+                lits = self._holding(g, val, q)
+                high = max([level[held >> 1] for held in lits])
+                if high < top:
+                    best = lits
+                    top = high
+        return best
 
     def _watch(self, lit: int, clause: list[int]) -> None:
         ws = self._watches[lit]
@@ -267,8 +285,9 @@ class BoundedCounts:
     def _backtrack(self, keep: int) -> None:
         """Undo every level above `keep`: removed entries already propagated
         refund their counters, the rest keep value, spend and trail order.
-        The first undone decision has been propagated, and none below it is
-        above `keep`."""
+        Precondition: the first undone decision has been propagated, and no
+        entry before it is above `keep`; so the propagated entries, which
+        refund, are the ones before `_qhead`."""
         marks = self._marks
         start = marks[keep]
         del marks[keep:]
@@ -279,10 +298,9 @@ class BoundedCounts:
         touching = self.touching
         left = self._left
         qhead = self._qhead
+        assert qhead > start
         j = start
-        for i in range(start, len(trail)):
-            if i == qhead:
-                self._qhead = j
+        for i in range(start, qhead):
             lit = trail[i]
             v = lit >> 1
             if level[v] <= keep:
@@ -291,25 +309,39 @@ class BoundedCounts:
                 j += 1
             else:
                 value[v] = -1
-                if i < qhead:
-                    refund = left[lit & 1]
-                    for g in touching[v]:
-                        refund[g] += 1
-        if qhead == len(trail):
-            self._qhead = j
+                refund = left[lit & 1]
+                for g in touching[v]:
+                    refund[g] += 1
+        self._qhead = j
+        for i in range(qhead, len(trail)):
+            lit = trail[i]
+            v = lit >> 1
+            if level[v] <= keep:
+                trail[j] = lit
+                pos[v] = j
+                j += 1
+            else:
+                value[v] = -1
         del trail[j:]
 
     def _root(self, seed: Iterable[tuple[int, int]]) -> bool:
         if not self._feasible:
             return False
         value = self._value
+        reason = self._reason
+        pos = self._pos
+        trail = self._trail
+        members = self._members
         zeros, ones = self._left
-        for g in range(len(zeros)):
-            if not (zeros[g] and ones[g]):
-                forced = 1 if ones[g] else 0
-                for w in self._members[g]:
-                    if value[w] < 0:
-                        self._set(w + w + forced, g, 0)
+        # Saturated groups; every level is already 0.
+        for g in compress(range(len(zeros)), map(not_, map(mul, zeros, ones))):
+            forced = 1 if ones[g] else 0
+            for w in members[g]:
+                if value[w] < 0:
+                    value[w] = forced
+                    reason[w] = g
+                    pos[w] = len(trail)
+                    trail.append(w + w + forced)
         for v, val in seed:
             if value[v] < 0:
                 self._set(v + v + val, None, 0)
@@ -394,7 +426,9 @@ class BoundedCounts:
         self._watches = [None] * (2 * nvars)
         self._seen = bytearray(nvars)
         value = self._value
+        reason = self._reason
         level = self._level
+        pos = self._pos
         trail = self._trail
         marks = self._marks
         sols: list[int] = []    # solutions found when each decision was made
@@ -408,9 +442,14 @@ class BoundedCounts:
                     cur += 1
                 if cur < nvars:
                     nodes += 1
-                    marks.append(len(trail))
+                    at = len(trail)
+                    marks.append(at)
                     sols.append(len(found))
-                    self._set(cur + cur + 1, None, len(marks))
+                    value[cur] = 1
+                    reason[cur] = None
+                    level[cur] = len(marks)
+                    pos[cur] = at
+                    trail.append(cur + cur + 1)
                     conflict = self._propagate()
                     continue
                 found.append(tuple(value))
@@ -540,10 +579,12 @@ def enumerate(board: Board, cap: int) -> SolveOutcome:
         status = SolveStatus.SAT
     else:
         status = SolveStatus.UNSAT
-    # one cells set serves every solution; frozensets are immutable
-    cells = frozenset(coords)
-    solutions = tuple(Coloring(cells, frozenset(compress(coords, values)))
-                      for values in found)
+    solutions = ()
+    if found:
+        # one cells set serves every solution; frozensets are immutable
+        cells = frozenset(coords)
+        solutions = tuple(Coloring(cells, frozenset(compress(coords, values)))
+                          for values in found)
     return SolveOutcome(status, solutions, nodes)
 
 

@@ -115,6 +115,14 @@ def test_solve_prints_first_solution(capsys):
     assert (code, out, err) == (0, FIRST_GRID, "")
 
 
+@pytest.mark.parametrize("name", ["two-clauses", "three-clauses"])
+def test_solve_prints_the_golden_first_solution(capsys, name):
+    # two-clauses has two solutions, so its file pins which one comes first
+    golden = FIXTURES / "golden"
+    code, out, err = run(capsys, "solve", str(golden / f"{name}.odg"))
+    assert (code, out, err) == (0, fixture_text(f"golden/{name}.sol"), "")
+
+
 def test_solve_output_feeds_check(capsys, tmp_path):
     _, out, _ = run(capsys, "solve", SAMPLE)
     produced = tmp_path / "found.sol"
