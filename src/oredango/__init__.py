@@ -6,7 +6,10 @@ Modules: `core` (board model and rule checker), `textio` (file formats),
 
 `import oredango` loads `core`, `solver` and `textio`; `ilp`,
 `reduction` and `cli` load on first access (PEP 562), so a board
-command pays for neither of the other layers.
+command pays for neither of the other layers.  No module imports
+`dataclasses`, which would load `inspect`, `ast` and `dis` on every
+cold start: the value types are `typing.NamedTuple` records or plain
+classes on `core.Frozen`.
 """
 
 import importlib

@@ -9,7 +9,9 @@ unusable input or bad usage.
 
 The board commands run on `core`, `solver` and `textio` alone; `lp` and
 the two reduction commands import `ilp` or `reduction` when they run, so
-a cold board command neither compiles nor executes those modules.
+a cold board command neither compiles nor executes those modules.  No
+command imports `dataclasses` (and with it `inspect`, `ast` and `dis`),
+and no class is made by generating its methods at import.
 """
 
 from __future__ import annotations

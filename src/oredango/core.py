@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import (accumulate, chain, compress, count, groupby, islice,
                        repeat)
 from operator import eq, getitem, gt, itemgetter, or_, sub
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 BLACK = "B"
 WHITE = "W"
@@ -57,8 +56,22 @@ class ColoringError(ValueError):
     """A coloring does not fit the board it is checked against."""
 
 
-@dataclass(frozen=True)
-class Rules:
+class Frozen:
+    """Base of the package's immutable value classes: each sets its
+    fields once, in `__init__`, and assigning to or deleting an
+    attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: {name!r} cannot change")
+
+    # takes the name alone, which `*value` lets the same method accept
+    __delattr__ = __setattr__
+
+
+class Rules(Frozen):
     """Rules A-D of one board as flat integer arrays.  Read it through
     `Board.rules`; callers must not mutate the arrays.
 
@@ -69,7 +82,7 @@ class Rules:
     (rule, index, first entry, count): one run per clued skewer for rule
     A, one per skewer, row or column with a window for rules B, C and D,
     whose entry `first + w - 1` is window w.  `rule` and `index` read as
-    in `Violation`.
+    in `Violation`.  Rules compare equal when their five fields do.
     """
 
     cells: array
@@ -77,6 +90,15 @@ class Rules:
     lo: array
     hi: array
     runs: tuple[tuple[str, int, int, int], ...]
+
+    def __init__(self, cells, starts, lo, hi, runs):
+        vars(self).update(cells=cells, starts=starts, lo=lo, hi=hi, runs=runs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.cells, self.starts, self.lo, self.hi, self.runs)
+                == (other.cells, other.starts, other.lo, other.hi, other.runs))
 
     @cached_property
     def _shape(self) -> list[tuple[int, int]]:
@@ -107,8 +129,7 @@ class Rules:
         return rule, index, None if rule == "A" else e - first + 1
 
 
-@dataclass(frozen=True)
-class Board:
+class Board(Frozen):
     """Immutable puzzle instance.  Construct through `build_board`.
 
     `circles` maps each circle's coordinate to its clue, or None when it
@@ -116,13 +137,24 @@ class Board:
     stored with the lexicographically smaller endpoint first
     (`build_board` flips reversed input, so equal skewers compare equal):
     the multi-circle skewers in input order, then the loners in row-major
-    order.
+    order.  Boards compare equal when their four fields do; a board is
+    not hashable, as `circles` is a dict.
     """
 
     rows: int
     cols: int
     circles: Mapping[Coord, int | None]
     skewers: tuple[tuple[Coord, ...], ...]
+
+    def __init__(self, rows, cols, circles, skewers):
+        vars(self).update(rows=rows, cols=cols, circles=circles,
+                          skewers=skewers)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rows, self.cols, self.circles, self.skewers)
+                == (other.rows, other.cols, other.circles, other.skewers))
 
     @cached_property
     def row_major(self) -> tuple[Coord, ...]:
@@ -199,16 +231,27 @@ class Board:
                      bounds + array("i", [2]) * windows, tuple(runs))
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Total black/white assignment over a board's circles."""
+class Coloring(Frozen):
+    """Total black/white assignment over a board's circles; colorings
+    compare and hash on `(cells, blacks)`."""
 
+    __slots__ = ("cells", "blacks")
     cells: frozenset[Coord]
     blacks: frozenset[Coord]
 
-    def __post_init__(self):
-        if not self.blacks <= self.cells:
+    def __init__(self, cells, blacks):
+        if not blacks <= cells:
             raise ColoringError("black cells outside the colored domain")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "blacks", blacks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cells == other.cells and self.blacks == other.blacks
+
+    def __hash__(self):
+        return hash((self.cells, self.blacks))
 
     def __getitem__(self, coord: Coord) -> str:
         if coord not in self.cells:
@@ -216,8 +259,7 @@ class Coloring:
         return BLACK if coord in self.blacks else WHITE
 
 
-@dataclass(frozen=True)
-class TripleIndex:
+class TripleIndex(NamedTuple):
     """Every window of three consecutive circles, grouped by line.
 
     `row_triples[i-1]` lists the windows of row i left to right,
@@ -230,14 +272,13 @@ class TripleIndex:
     skewer_triples: tuple[tuple[Triple, ...], ...]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken rule instance.
 
     `rule` is A, B, C, or D.  `index` names the skewer (A, B), row (C), or
     column (D); `window` counts windows from 1 along the line (None for A).
     `observed` is the black count over `cells`, required to lie in
-    [`lo`, `hi`].
+    [`lo`, `hi`].  The field `index` shadows `tuple.index`.
     """
 
     rule: str

@@ -16,12 +16,11 @@ a puzzle solution and vice versa.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import Board, Coord, Rules
+from .core import Board, Coord, Frozen, Rules
 
 
 class LinearConstraint(NamedTuple):
@@ -64,13 +63,16 @@ def _stream(names: Sequence[str], rules: Rules
                rules.lo, rules.hi)
 
 
-@dataclass(frozen=True, eq=False)
-class LinearModel:
+class LinearModel(Frozen):
     """The 0-1 model of one board, as `build_model` makes it: its
-    variables in row-major circle order and the board's rule store."""
+    variables in row-major circle order and the board's rule store.
+    Models compare by identity."""
 
     variables: tuple[tuple[str, Coord], ...]
     rules: Rules
+
+    def __init__(self, variables, rules):
+        vars(self).update(variables=variables, rules=rules)
 
     @property
     def objective(self) -> tuple[int, ...]:

@@ -44,12 +44,11 @@ literal is true, or on a band's two-circle skewer when it is false.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import solver
-from .core import (BLACK, Board, Coloring, Coord, build_board, capped_list,
-                   check_coloring)
+from .core import (BLACK, Board, Coloring, Coord, Frozen, build_board,
+                   capped_list, check_coloring)
 
 
 class ReductionError(ValueError):
@@ -60,8 +59,7 @@ class ReductionError(ValueError):
 Clause = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class OneInThreeInstance:
+class OneInThreeInstance(Frozen):
     """Normalized instance: each clause a tuple of three signed literals
     sorted by variable (`sorted(literals, key=abs)`).
 
@@ -70,20 +68,29 @@ class OneInThreeInstance:
     (the first finding, as `clause <k>: …`) before the clauses are sorted.
     So every instance in hand holds valid clauses, and one built directly
     equals the one `one_in_three` builds from the same clauses.
+    Instances compare and hash on `(nvars, clauses)`.
     """
 
     nvars: int
     clauses: tuple[Clause, ...]
 
-    def __post_init__(self):
-        if self.nvars < 0:
+    def __init__(self, nvars, clauses):
+        if nvars < 0:
             raise ReductionError("variable count cannot be negative")
-        for pos, clause in enumerate(self.clauses, start=1):
-            findings = clause_findings(clause, self.nvars)
+        for pos, clause in enumerate(clauses, start=1):
+            findings = clause_findings(clause, nvars)
             if findings:
                 raise ReductionError(f"clause {pos}: {findings[0][1]}")
-        object.__setattr__(self, "clauses", tuple(
-            tuple(sorted(clause, key=abs)) for clause in self.clauses))
+        vars(self).update(nvars=nvars, clauses=tuple(
+            tuple(sorted(clause, key=abs)) for clause in clauses))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nvars, self.clauses) == (other.nvars, other.clauses)
+
+    def __hash__(self):
+        return hash((self.nvars, self.clauses))
 
 
 def clause_findings(clause: Sequence[int], nvars: int) -> list[tuple[int, str]]:
@@ -112,8 +119,7 @@ def one_in_three(nvars: int,
     return OneInThreeInstance(nvars, tuple(map(tuple, clauses)))
 
 
-@dataclass(frozen=True)
-class ReducedPuzzle:
+class ReducedPuzzle(NamedTuple):
     board: Board
     literal_cells: Mapping[tuple[int, int], Coord]
     variable_readout: Mapping[int, Coord]
@@ -267,8 +273,7 @@ def enumerate_assignments(instance: OneInThreeInstance) -> list[tuple[int, ...]]
     return accepted
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of an exhaustive instance/board cross-check: it passes
     when it found no problems."""
 

@@ -19,11 +19,10 @@ counts are reproducible.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from operator import le, mul, not_, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (BLACK, WHITE, Board, Coloring, ColoringError, Coord,
                    check_coloring)
@@ -41,8 +40,7 @@ def count_text(count: int, capped: bool) -> str:
     return f">={count}" if capped else str(count)
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """Search result: found solutions plus the branch count `nodes`."""
 
     status: SolveStatus

@@ -25,10 +25,9 @@ value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .core import (BLACK, WHITE, Board, BoardError, Coloring, ColoringError,
                    Coord, build_board)
@@ -39,8 +38,7 @@ if TYPE_CHECKING:
 _TOKEN = re.compile(r"\S+")
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     """One reader complaint; `structural` marks well-formed text that
     breaks a board rule rather than the grammar."""
 

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pathlib
 import random
@@ -56,7 +55,7 @@ def reduce_without(monkeypatch, cell):
         circles = {coord: clue for coord, clue in board.circles.items()
                    if coord != cell}
         skewers = [path for path in board.skewers if len(path) > 1]
-        return dataclasses.replace(reduced, board=build_board(
+        return reduced._replace(board=build_board(
             board.rows, board.cols, circles, skewers))
 
     monkeypatch.setattr(reduction, "reduce", faulty)

@@ -390,13 +390,18 @@ BASE_MODULES = ["oredango", "oredango.cli", "oredango.core",
 
 IMPORT_PROBE = """
 import contextlib, io, sys
+start = set(sys.modules)
 
 def loaded():
     print(*sorted(k for k in sys.modules if k.partition(".")[0] == "oredango"))
+    # `dataclasses` and the standard modules it loads
+    print(*(m for m in ("ast", "dataclasses", "dis", "inspect")
+            if m in sys.modules and m not in start))
 
 import oredango.cli as cli
 loaded()
-for argv in (["lp", {sample!r}], ["reduce", {cnf!r}]):
+for argv in (["lp", {sample!r}], ["reduce", {cnf!r}],
+             ["solve", "--count", "--limit", "2", {sample!r}]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     print(code)
@@ -410,7 +415,8 @@ def test_commands_import_only_the_modules_they_run():
     lines = [line.split() for line in proc.stdout.splitlines()]
     after_lp = sorted(BASE_MODULES + ["oredango.ilp"])
     after_reduce = sorted(after_lp + ["oredango.reduction"])
-    assert lines == [BASE_MODULES, ["0"], after_lp, ["0"], after_reduce]
+    assert lines == [BASE_MODULES, [], ["0"], after_lp, [],
+                     ["0"], after_reduce, [], ["0"], after_reduce, []]
 
 
 def library_output(command: str) -> str:

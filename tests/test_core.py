@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 import tracemalloc
@@ -8,8 +7,8 @@ from operator import itemgetter
 import pytest
 
 from conftest import fixture_text
-from oredango import ilp, reduction, solver, textio
-from oredango.core import (BLACK, BoardError, Coloring, ColoringError,
+from oredango import core, ilp, reduction, solver, textio
+from oredango.core import (BLACK, Board, BoardError, Coloring, ColoringError,
                            build_board, check_coloring, triple_index)
 from oracles import (listed_rules, listed_violations, random_board,
                      sized_instance)
@@ -255,7 +254,8 @@ def test_row_major_order_is_sorted_once_and_shared():
         assert board.row_major == tuple(sorted(board.circles))
         # the board keeps one order
         assert board.row_major is board.row_major
-        direct = dataclasses.replace(board)   # no order handed over
+        # no order handed over
+        direct = Board(board.rows, board.cols, board.circles, board.skewers)
         assert direct.row_major == board.row_major
 
 
@@ -368,7 +368,7 @@ def test_cached_constraints_leave_equality_alone():
     for _ in range(20):
         board = random_board(rng)
         board.rules
-        fresh = dataclasses.replace(board)
+        fresh = Board(board.rows, board.cols, board.circles, board.skewers)
         assert "rules" not in vars(fresh)
         assert board == fresh and not board != fresh
         assert fresh.rules == board.rules
@@ -465,3 +465,111 @@ def test_violations_match_an_independent_listing_on_reduced_boards(flips):
         assert report.violations == listed_violations(board, coloring)
         broken += len(report)
     assert (broken == 0) == (flips == 0)
+
+
+def value_case(name):
+    """The contract table's row for the type `name`: its fields as given,
+    in order; one field changed (None for a type equal by identity); the
+    fields as stored where they differ from those given; whether it
+    hashes; and a refused construction as (fields, exception, message),
+    or None."""
+    board = build_board(2, 3, {(1, 1): None, (1, 2): 1, (2, 3): 0},
+                        [[(1, 1), (1, 2)]])
+    rules = board.rules
+    cells = frozenset(board.circles)
+    windows = ((((1, 1), (1, 2), (1, 3)),),)
+    refused = None
+    stored = {}
+    hashable = True
+    if name == "Board":
+        fields = dict(rows=2, cols=3, circles=board.circles,
+                      skewers=board.skewers)
+        changed, hashable = {"rows": 3}, False
+    elif name == "Rules":
+        fields = dict(cells=rules.cells, starts=rules.starts, lo=rules.lo,
+                      hi=rules.hi, runs=rules.runs)
+        changed, hashable = {"runs": ()}, False
+    elif name == "Coloring":
+        fields = dict(cells=cells, blacks=frozenset({(1, 2)}))
+        changed = {"blacks": frozenset()}
+        refused = (dict(cells=frozenset(), blacks=frozenset({(1, 1)})),
+                   ColoringError, "black cells outside the colored domain")
+    elif name == "TripleIndex":
+        fields = dict(row_triples=windows, col_triples=(), skewer_triples=())
+        changed = {"col_triples": windows}
+    elif name == "Violation":
+        fields = dict(rule="C", index=1, window=1, cells=windows[0][0],
+                      observed=3, lo=1, hi=2)
+        changed = {"window": 2}
+    elif name == "SolveOutcome":
+        fields = dict(status=solver.SolveStatus.SAT,
+                      solutions=(Coloring(cells, frozenset()),), nodes=4)
+        changed = {"nodes": 5}
+    elif name == "ParseDiagnostic":
+        fields = dict(line=3, column=0, message="m", structural=False)
+        changed = {"structural": True}
+    elif name == "OneInThreeInstance":
+        fields = dict(nvars=3, clauses=((-3, 1, 2), (2, -1, 3)))
+        stored = {"clauses": ((1, 2, -3), (-1, 2, 3))}
+        changed = {"nvars": 4}
+        refused = (dict(nvars=3, clauses=((1, 2, 3), (1, -1, 2))),
+                   reduction.ReductionError,
+                   "clause 2: same variable twice, not three distinct "
+                   "variables")
+    elif name == "ReducedPuzzle":
+        fields = dict(board=board, literal_cells={(1, 1): (1, 1)},
+                      variable_readout={1: (1, 1)})
+        changed, hashable = {"variable_readout": {}}, False
+    elif name == "VerificationResult":
+        fields = dict(assignments=1, puzzle_solutions=1, problems=(),
+                      capped=False)
+        changed = {"problems": ("x",)}
+    else:   # LinearModel compares by identity
+        fields = dict(variables=(("x_1_1", (1, 1)),), rules=rules)
+        changed = None
+    return fields, changed, stored, hashable, refused
+
+
+VALUE_TYPES = {
+    "Board": core.Board, "Rules": core.Rules, "Coloring": core.Coloring,
+    "TripleIndex": core.TripleIndex, "Violation": core.Violation,
+    "SolveOutcome": solver.SolveOutcome,
+    "ParseDiagnostic": textio.ParseDiagnostic,
+    "OneInThreeInstance": reduction.OneInThreeInstance,
+    "ReducedPuzzle": reduction.ReducedPuzzle,
+    "VerificationResult": reduction.VerificationResult,
+    "LinearModel": ilp.LinearModel,
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_keep_their_contracts(name):
+    cls = VALUE_TYPES[name]
+    fields, changed, stored, hashable, refused = value_case(name)
+    value = cls(*fields.values())
+    again = cls(**fields)
+    for field, given in fields.items():
+        assert getattr(value, field) == stored.get(field, given)
+        with pytest.raises(AttributeError):
+            setattr(value, field, given)
+    if changed is None:
+        assert value == value and value != again
+        assert hash(value) != hash(again)
+    else:
+        other = cls(**{**fields, **changed})
+        assert value == again and not value != again
+        assert value != other and not value == other
+        if hashable:
+            assert hash(value) == hash(again)
+        else:
+            with pytest.raises(TypeError):
+                hash(value)
+    if refused is not None:
+        bad, error, message = refused
+        with pytest.raises(error) as caught:
+            cls(**bad)
+        assert type(caught.value) is error and str(caught.value) == message
+    if name == "ParseDiagnostic":
+        assert cls(3, 0, "m") == value   # `structural` defaults to False
+    if name == "VerificationResult":
+        assert cls(1, 1, ()) == value    # `capped` defaults to False
