@@ -5,7 +5,8 @@ verify-reduction.  Results go to stdout (or the file named by `-o`);
 diagnostics and progress notes go to stderr.  Exit codes: 0 for success,
 a found solution, or a passed verification; 1 for unsatisfiable boards,
 rule violations, exhausted solution sets, or failed verification; 2 for
-unusable input or bad usage.
+unusable input or bad usage.  The library refuses input with a ValueError,
+and `main` alone turns one into its message on stderr and exit 2.
 
 The board commands run on `core`, `solver` and `textio` alone; `lp` and
 the two reduction commands import `ilp` or `reduction` when they run, so
@@ -93,13 +94,6 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
             sys.stdout.write(text)
 
 
-def _check_grid(board: core.Board) -> None:
-    try:
-        textio.check_grid_size(board)
-    except core.ColoringError as err:
-        raise _Fail(2, str(err)) from err
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     board = _load(textio.parse_board, args.board)
     print(f"OK rows={board.rows} cols={board.cols} "
@@ -119,7 +113,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     board = _load(textio.parse_board, args.board)
     if not args.count:
-        _check_grid(board)
+        textio.check_grid_size(board)
     if args.limit < 1:
         raise _Fail(2, "--limit must be at least 1")
     if not (args.count or args.all):
@@ -142,13 +136,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_another(args: argparse.Namespace) -> int:
     board = _load(textio.parse_board, args.board)
-    _check_grid(board)
+    textio.check_grid_size(board)
     known = [_load(textio.parse_coloring, path, board)
              for path in args.solutions]
-    try:
-        extra = solver.another_solution(board, known)
-    except ValueError as err:
-        raise _Fail(2, str(err)) from err
+    extra = solver.another_solution(board, known)
     if extra is None:
         print("NONE")
         return 1
@@ -167,10 +158,7 @@ def _cmd_lp(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     from . import reduction
 
-    try:
-        reduced = reduction.reduce(_load(textio.parse_one_in_three, args.cnf))
-    except reduction.ReductionError as err:
-        raise _Fail(2, str(err)) from err
+    reduced = reduction.reduce(_load(textio.parse_one_in_three, args.cnf))
     outputs = [(textio.write_board(reduced.board), args.output)]
     if args.map:
         outputs.append((reduction.format_reduction_map(reduced), args.map))
@@ -181,11 +169,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_verify_reduction(args: argparse.Namespace) -> int:
     from . import reduction
 
-    try:
-        result = reduction.verify_reduction(
-            _load(textio.parse_one_in_three, args.cnf))
-    except reduction.ReductionError as err:
-        raise _Fail(2, str(err)) from err
+    result = reduction.verify_reduction(
+        _load(textio.parse_one_in_three, args.cnf))
     word = "PASS" if result.ok else "FAIL"
     print(f"{word} puzzle={result.puzzle_count} "
           f"assignments={result.assignments}")
@@ -270,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
         for line in fail.messages:
             print(line, file=sys.stderr)
         code = fail.code
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        code = 2
     finally:
         if getattr(args, "time", False):
             elapsed = (time.perf_counter() - start) * 1000.0

@@ -107,10 +107,6 @@ class Rules(Frozen):
         return [(size, len(list(run)))
                 for size, run in groupby(map(sub, starts[1:], starts))]
 
-    @cached_property
-    def _firsts(self) -> list[int]:
-        return [first for _, _, first, _ in self.runs]
-
     def cut(self, flat: Iterable[_T]) -> Iterator[tuple[_T, ...]]:
         """`flat`, one item per element of `cells`, cut lazily into one
         tuple per entry: the store's one cutter.  A caller that drops
@@ -125,7 +121,8 @@ class Rules(Frozen):
     def tag(self, e: int) -> tuple[str, int, int | None]:
         """Rule, line index and window of entry e, read as in
         `Violation` (the window is None for rule A)."""
-        rule, index, first, _ = self.runs[bisect_right(self._firsts, e) - 1]
+        rule, index, first, _ = self.runs[
+            bisect_right(self.runs, e, key=itemgetter(2)) - 1]
         return rule, index, None if rule == "A" else e - first + 1
 
 
@@ -312,7 +309,8 @@ class ViolationReport(tuple[Violation, ...]):
 
     @property
     def violations(self) -> ViolationReport:
-        """The report itself, for callers that read it by this name."""
+        """The report itself, for callers that read it by this name; its
+        last reader is `benchmarks/workloads.py`."""
         return self
 
 

@@ -162,15 +162,15 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     # Blocks top to bottom as the module docstring lays them out; the
     # last clause's strip closes the board.
     for i, clause in enumerate(clauses, start=1):
-        ordered = sorted(clause, key=_col)
+        # sorted by variable, so already in column order (`_col` grows with it)
         r += 1
         circles[r, 1] = circles[r, right] = 1
-        for lit in ordered:
+        for lit in clause:
             cell = (r, _col(lit))
             circles[cell] = None
             literal_cells.setdefault((1 if doubled else i, lit), cell)
         r += 1
-        guards = (-ordered[0], -ordered[2])
+        guards = (-clause[0], -clause[2])
         circles[r, 1] = circles[r, right] = 0
         for lit in guards:
             circles[r, _col(lit)] = None
@@ -179,7 +179,7 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
 
         if i > 1:
             # spacer rows fill the literal columns this strip left empty
-            taken = {_col(lit) for lit in (*ordered, *guards)}
+            taken = {_col(lit) for lit in (*clause, *guards)}
             for v in range(1, n + 1):
                 r += 1
                 for column in (4 * v - 2, 4 * v - 1):
@@ -255,7 +255,7 @@ def coloring_to_assignment(reduced: ReducedPuzzle,
     report = check_coloring(reduced.board, coloring)
     if not report.ok:
         raise ReductionError("coloring does not solve the reduced board: "
-                             + report.violations[0].describe())
+                             + report[0].describe())
     readout = reduced.variable_readout
     return tuple(1 if coloring[readout[v]] == BLACK else 0
                  for v in sorted(readout))

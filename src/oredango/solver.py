@@ -604,7 +604,7 @@ def another_solution(board: Board, known: Iterable[Coloring]) -> Coloring | None
         report = check_coloring(board, coloring)
         if not report.ok:
             raise ValueError("known coloring is not a solution: "
-                             + report.violations[0].describe())
+                             + report[0].describe())
         seen.add(coloring)
     outcome = enumerate(board, len(seen) + 1)
     for coloring in outcome.solutions:

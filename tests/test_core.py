@@ -573,3 +573,8 @@ def test_value_types_keep_their_contracts(name):
         assert cls(3, 0, "m") == value   # `structural` defaults to False
     if name == "VerificationResult":
         assert cls(1, 1, ()) == value    # `capped` defaults to False
+    # an unrelated type is left to its own comparison, and is unequal
+    assert value != object() and not value == object()
+    if name == "Coloring":
+        with pytest.raises(KeyError):
+            value[(9, 9)]

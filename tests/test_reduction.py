@@ -7,6 +7,7 @@ import pytest
 from conftest import FIXTURES, fixture_text, reduce_without
 from oredango import reduction, solver, textio
 from oredango.core import Coloring, check_coloring
+from oredango.core import build_board
 from oredango.reduction import ReductionError
 from oracles import random_instance, sized_instance
 
@@ -302,6 +303,70 @@ def test_verify_reduction_reports_a_capped_count_as_at_least(monkeypatch):
     assert result.puzzle_count == ">=3"
     assert result.problems[0] \
         == "board has >=3 solutions, instance accepts 2 assignments"
+
+
+def _rebuilt(reduced, clues=None, widen=()):
+    """`reduced` on a board whose clues `clues` overrides and whose first
+    skewer starts with the circles `widen`, as a layout fault would."""
+    board = reduced.board
+    first, *rest = board.skewers
+    skewers = [(*widen, *first)] + [path for path in rest if len(path) > 1]
+    return reduced._replace(board=build_board(
+        board.rows, board.cols, {**board.circles, **(clues or {})}, skewers))
+
+
+def _refuse(*args):
+    raise ReductionError("refused")
+
+
+def _first_twice(honest):
+    def faulty(board, cap):
+        outcome = honest(board, cap)
+        return outcome._replace(solutions=outcome.solutions[:1] * 2)
+    return faulty
+
+
+# two-clauses' accepted assignments, each mapped to the other
+SWAPPED = {(0, 0, 1, 0): (1, 0, 0, 1), (1, 0, 0, 1): (0, 0, 1, 0)}
+
+
+@pytest.mark.parametrize("cnf,target,fault,problems", [
+    # the first band skewer, (3, 2)-(4, 3), takes the guard circle (2, 3)
+    ("blocked", "reduce",
+     lambda honest: lambda inst: _rebuilt(honest(inst), widen=[(2, 3)]),
+     # which also lets the board solve
+     ("skewer 1 threads 3 circles",
+      "board has >=1 solutions, instance accepts 0 assignments",
+      "board solution decodes to rejected assignment (1, 0, 1)")),
+    ("blocked", "reduce",
+     lambda honest: lambda inst: _rebuilt(honest(inst), clues={(3, 2): 2}),
+     ("clue 2 at (3, 2) is outside {0, 1}",)),
+    # the solver finds its first solution, of (1, 0, 0, 1), twice and
+    # the second never
+    ("two-clauses", "enumerate", _first_twice,
+     ("encoding of (0, 0, 1, 0) missed by the solver",)),
+    ("two-clauses", "assignment_to_coloring",
+     lambda honest: lambda reduced, a: honest(reduced, SWAPPED[a]),
+     ("assignment (0, 0, 1, 0) does not survive the round trip",
+      "assignment (1, 0, 0, 1) does not survive the round trip",
+      "board solution is not the canonical encoding of (1, 0, 0, 1)",
+      "board solution is not the canonical encoding of (0, 0, 1, 0)")),
+    ("two-clauses", "coloring_to_assignment", lambda honest: _refuse,
+     ("assignment (0, 0, 1, 0) encodes to a non-solution",
+      "assignment (1, 0, 0, 1) encodes to a non-solution",
+      "solver produced a coloring that fails revalidation",
+      "solver produced a coloring that fails revalidation")),
+], ids=["long-skewer", "big-clue", "missed", "swapped", "revalidation"])
+def test_verify_reduction_names_each_fault(monkeypatch, cnf, target, fault,
+                                           problems):
+    if cnf == "blocked":   # accepts no assignment; its board has no solution
+        instance = reduction.one_in_three(3, [(1, 2, 3), (-1, -2, -3)])
+    else:
+        instance = textio.parse_one_in_three(fixture_text(f"{cnf}.c13"))
+    module = solver if target == "enumerate" else reduction
+    monkeypatch.setattr(module, target, fault(getattr(module, target)))
+    result = reduction.verify_reduction(instance)
+    assert result.problems == problems and result.ok is False
 
 
 def test_verify_reduction_zero_solution_instances():
