@@ -125,6 +125,20 @@ class ReducedPuzzle(NamedTuple):
     variable_readout: Mapping[int, Coord]
 
 
+# Most circles `reduce` lays out: about 4.7 times the board of 120
+# variables and 150 clauses.  7.4 million took 30.7 s and 2.2 GB.
+MAX_REDUCED_CIRCLES = 1_000_000
+
+
+def _board_circles(nvars: int, nclauses: int) -> int:
+    """Circles of the board `reduce` lays out for an instance of this size:
+    9 per clause strip, 8n-2 per pair band (four literal circles and two
+    rows of separators per variable) and 4n-6 per spacer block (the 2n-5
+    literal circles its strip leaves out, and 2n-1 separators)."""
+    m = max(2, nclauses)
+    return 9 * m + (m - 1) * (8 * nvars - 2) + (m - 2) * (4 * nvars - 6)
+
+
 def _col(lit: int) -> int:
     return 4 * abs(lit) - 2 + (lit < 0)
 
@@ -135,7 +149,8 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     The board spans 4m-2 + n*max(0, m-2) rows and 4n+1 columns, where m
     is the laid-out clause count (a lone clause is doubled).  The clauses
     were checked when the instance was made; raises ReductionError for an
-    instance without variables or clauses, or with variables in no clause.
+    instance without variables or clauses, with variables in no clause, or
+    whose board would hold more than MAX_REDUCED_CIRCLES circles.
     """
     n = instance.nvars
     if n < 1:
@@ -147,6 +162,10 @@ def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
         unused = (v for v in range(1, n + 1) if v not in used)
         raise ReductionError("variables in no clause: "
                              + capped_list(unused, n - len(used)))
+    size = _board_circles(n, len(instance.clauses))
+    if size > MAX_REDUCED_CIRCLES:
+        raise ReductionError(f"the board would hold {size} circles, over the "
+                             f"limit of {MAX_REDUCED_CIRCLES}")
 
     clauses = list(instance.clauses)
     doubled = len(clauses) == 1

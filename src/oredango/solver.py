@@ -95,15 +95,20 @@ class BoundedCounts:
     backtracking (Nadel & Ryvchin, SAT 2018) keeps the decisions below,
     which lexicographic branching would otherwise make again one by one.
 
-    The conflict level is undone only when its subtree has emitted no
-    solution.  That subtree then covered only ground without solutions,
-    so searching the level below again under the asserted literal repeats
-    no solution, and since the clause holds in every solution it skips
-    none.  Otherwise the level's branch is spent, and the search steps
-    back as plain depth-first search does: it pops the level and
-    propagates, then flips the popped decision to 0 if its variable is
-    still open, takes the 0 as given if propagation set it, and pops on
-    if propagation set it to 1 or the 0 branch was the one just spent.
+    Solutions come out depth first, so the levels whose decision has a
+    solution below it are the lowest ones, 1..`emitted`.  A solution sets
+    `emitted` to the current level, a new decision caps it at the level
+    below, and a flip to 0 leaves it alone: the flipped decision keeps
+    its level and the solutions already found below it.  The conflict
+    level is undone only when it lies above `emitted`.  Its subtree then
+    covered only ground without solutions, so searching the level below
+    again under the asserted literal repeats no solution, and since the
+    clause holds in every solution it skips none.  Otherwise the level's
+    branch is spent, and the search steps back as plain depth-first
+    search does: it pops the level and propagates, then flips the popped
+    decision to 0 if its variable is still open, takes the 0 as given if
+    propagation set it, and pops on if propagation set it to 1 or the 0
+    branch was the one just spent.
     Every literal set without a decision is implied by the groups and the
     decisions at or below its level, so solutions, their order and the
     cap semantics are those of plain depth-first search.
@@ -407,15 +412,16 @@ class BoundedCounts:
                 clause.append(lit ^ 1)
         return clause, asserting
 
-    def run(self, cap: int | None = None) -> tuple[bool, list[tuple[int, ...]], int]:
-        """Enumerate satisfying assignments in lexicographic order.
+    def run(self, cap: int) -> tuple[bool, list[tuple[int, ...]], int]:
+        """Enumerate up to `cap` satisfying assignments in lexicographic
+        order.
 
         Returns (exhausted, assignments, nodes); `exhausted` is False when
         the cap stopped the search before the space was covered, and
         `nodes` counts the decisions tried, flips to 0 included, but not a 0
         that propagation sets after a pop.  A cap below 1 raises ValueError.
         """
-        if cap is not None and cap < 1:
+        if cap < 1:
             raise ValueError("cap must be at least 1")
         self._start()
         if not self._root(()):
@@ -424,12 +430,12 @@ class BoundedCounts:
         self._watches = [None] * (2 * nvars)
         self._seen = bytearray(nvars)
         value = self._value
-        reason = self._reason
         level = self._level
-        pos = self._pos
         trail = self._trail
         marks = self._marks
-        sols: list[int] = []    # solutions found when each decision was made
+        # The standing levels 1..emitted are those whose decision has a
+        # solution below it.
+        emitted = 0
         found: list[tuple[int, ...]] = []
         nodes = 0
         cur = 0
@@ -440,19 +446,16 @@ class BoundedCounts:
                     cur += 1
                 if cur < nvars:
                     nodes += 1
-                    at = len(trail)
-                    marks.append(at)
-                    sols.append(len(found))
-                    value[cur] = 1
-                    reason[cur] = None
-                    level[cur] = len(marks)
-                    pos[cur] = at
-                    trail.append(cur + cur + 1)
+                    if emitted > len(marks):
+                        emitted = len(marks)
+                    marks.append(len(trail))
+                    self._set(cur + cur + 1, None, len(marks))
                     conflict = self._propagate()
                     continue
                 found.append(tuple(value))
-                if cap is not None and len(found) >= cap:
+                if len(found) >= cap:
                     return False, found, nodes
+                emitted = len(marks)
             else:
                 high = max([level[lit >> 1] for lit in conflict])
                 if not high:
@@ -462,19 +465,17 @@ class BoundedCounts:
                     # or below `high`, which every solution found since the
                     # decision above them extends; such a solution would
                     # break the conflict, so the levels above hold none.
-                    assert sols[high] == len(found)
+                    assert emitted <= high
                     self._backtrack(high)
-                    del sols[high:]
                 clause, asserting = self._analyze(conflict, high)
                 if len(clause) > 1:
                     self._watch(clause[0] ^ 1, clause)
                     self._watch(clause[1] ^ 1, clause)
                 # Undo only the conflict level, unless its subtree emitted
                 # a solution, and assert the clause at its own level.
-                if sols[-1] == len(found):
+                if emitted < len(marks):
                     cur = trail[marks[-1]] >> 1
                     self._backtrack(high - 1)
-                    sols.pop()
                     self._set(clause[0], clause, asserting)
                     conflict = self._propagate()
                     continue
@@ -484,7 +485,6 @@ class BoundedCounts:
             while marks:
                 top = len(marks) - 1
                 lit = trail[marks[top]]
-                tried = sols.pop()
                 cur = lit >> 1
                 self._backtrack(top)
                 # Lower-level entries that a conflict left unpropagated may
@@ -502,7 +502,6 @@ class BoundedCounts:
                     if value[cur] < 0:
                         nodes += 1
                         marks.append(len(trail))
-                        sols.append(tried)
                         self._set(lit ^ 1, None, len(marks))
                         conflict = self._propagate()
                     break

@@ -143,6 +143,42 @@ def test_dimension_formula_on_random_instances():
         assert reduced.board.rows == 4 * m - 2 + n * max(0, m - 2)
 
 
+def test_circle_formula_counts_the_laid_out_board():
+    rng = random.Random(23424)
+    instances = [textio.parse_one_in_three(fixture_text(f"{name}.c13"))
+                 for name in ("one-clause", "two-clauses", "three-clauses")]
+    instances += [sized_instance(rng, n, m, True)
+                  for n, m in ((3, 1), (3, 2), (10, 10), (24, 30))]
+    instances += [random_instance(rng) for _ in range(100)]
+    for instance in instances:
+        board = reduction.reduce(instance).board
+        assert len(board.circles) == reduction._board_circles(
+            instance.nvars, len(instance.clauses))
+
+
+def test_reduce_refuses_a_board_over_the_limit_before_laying_it_out(
+        monkeypatch):
+    # 1.6 MB of clause text that would lay out 7.4 million circles
+    hostile = reduction.one_in_three(3, [(1, 2, 3)] * 200_000)
+
+    def laid_out(lit):
+        raise AssertionError("the layout started")
+
+    monkeypatch.setattr(reduction, "_col", laid_out)
+    with pytest.raises(ReductionError, match="^the board would hold 7399966 "
+                                             "circles, over the limit of "
+                                             "1000000$"):
+        reduction.reduce(hostile)
+    monkeypatch.undo()
+    # the limit itself is accepted
+    small = reduction.one_in_three(3, [(1, 2, 3), (-1, 2, 3)])
+    monkeypatch.setattr(reduction, "MAX_REDUCED_CIRCLES", 40)
+    assert len(reduction.reduce(small).board.circles) == 40
+    monkeypatch.setattr(reduction, "MAX_REDUCED_CIRCLES", 39)
+    with pytest.raises(ReductionError, match="40 circles, over the limit of 39"):
+        reduction.reduce(small)
+
+
 def test_reduced_boards_stay_within_target_fragment(three_clause):
     board = reduction.reduce(three_clause).board
     assert all(len(path) <= 2 for path in board.skewers)
