@@ -329,14 +329,17 @@ def build_board(rows: int, cols: int,
     `circles` maps each (row, col) tuple of ints to its int clue or
     None, the form `Board.circles` holds: the board keeps a dict copy
     keyed by the caller's tuples, and `build_board(b.rows, b.cols,
-    b.circles, b.skewers) == b`.  A row, column or clue must be exactly
-    an `int`; a `bool` or a float is a fault.  Each entry of
+    b.circles, b.skewers) == b`.  The header's `rows` and `cols`, and
+    each circle's row, column and clue, must be exactly an `int`; a
+    `bool`, a float or a string is a fault.  Each entry of
     `skewer_list` is a path over declared circles; circles on no path
     become size-one skewers of their own, appended in row-major order.
     Raises BoardError when any structural rule fails.  The error names
-    the first fault: circles in mapping order, then skewer paths in input
-    order, then clues by skewer number.
+    the first fault: the header, then circles in mapping order, then
+    skewer paths in input order, then clues by skewer number.
     """
+    if type(rows) is not int or type(cols) is not int:
+        raise BoardError(f"grid must be int x int, got {rows!r}x{cols!r}")
     if rows < 1 or cols < 1:
         raise BoardError(f"grid must be at least 1x1, got {rows}x{cols}")
 

@@ -88,9 +88,11 @@ class BoundedCounts:
     trail entries above k and refunds their counters; every other entry
     keeps its value, spend and trail order, and a group this leaves
     saturated forces nothing anew (the counters still refuse an overspend).
-    A conflict's level is the highest among its literals, and 1-UIP runs
-    over that level's literals only.  The search then undoes only the
-    conflict level and asserts the clause's first literal at its asserting
+    A conflict's level is the highest among its literals; of the groups
+    one literal overspends, propagation reports the one of lowest level.
+    1-UIP runs over that level's literals only, before anything is undone.
+    The search then undoes, in one step, the conflict level and any level
+    above it, and asserts the clause's first literal at its asserting
     level, even when levels in between stand; this chronological
     backtracking (Nadel & Ryvchin, SAT 2018) keeps the decisions below,
     which lexicographic branching would otherwise make again one by one.
@@ -176,7 +178,8 @@ class BoundedCounts:
         here = len(self._marks)
         q = self._qhead
         end = len(trail)
-        bad = False
+        bad = None
+        low = here + 1   # above every level
         while q < end:
             lit = trail[q]
             q += 1
@@ -191,7 +194,15 @@ class BoundedCounts:
                 spend[g] = c
                 if c <= 0:
                     if c:
-                        bad = True
+                        # Keep the group whose members holding `val` before q
+                        # reach the lowest level (`lit`'s at least): undoing
+                        # that level refunds every group `lit` overspends.
+                        if low > at:
+                            high = max([level[u] for u in members[g]
+                                        if value[u] == val and pos[u] < q])
+                            if high < low:
+                                low = high
+                                bad = g
                         continue
                     if other[g] <= span[g]:
                         # every member has been propagated, so none is open
@@ -209,9 +220,9 @@ class BoundedCounts:
                             pos[w] = end
                             end += 1
                             push(w + w + forced)
-            if bad:
+            if bad is not None:
                 self._qhead = q
-                return self._overspent(lit, q)
+                return self._holding(bad, val, q)
             if watches is None:
                 continue
             ws = watches[lit]
@@ -259,24 +270,6 @@ class BoundedCounts:
             del ws[j:]
         self._qhead = q
         return None
-
-    def _overspent(self, lit: int, q: int) -> list[int]:
-        """True literals of the lowest-level group that propagating `lit`,
-        trail entry q - 1, overspent.  Every other group it overspent holds
-        an entry at or above that level, so undoing it refunds them all."""
-        val = lit & 1
-        spend = self._left[val]
-        level = self._level
-        best = None
-        top = len(self._marks) + 1   # above every level
-        for g in self.touching[lit >> 1]:
-            if spend[g] < 0:
-                lits = self._holding(g, val, q)
-                high = max([level[held >> 1] for held in lits])
-                if high < top:
-                    best = lits
-                    top = high
-        return best
 
     def _watch(self, lit: int, clause: list[int]) -> None:
         ws = self._watches[lit]
@@ -455,35 +448,38 @@ class BoundedCounts:
                 found.append(tuple(value))
                 if len(found) >= cap:
                     return False, found, nodes
-                emitted = len(marks)
+                emitted = top = len(marks)
             else:
-                high = max([level[lit >> 1] for lit in conflict])
-                if not high:
+                top = max([level[lit >> 1] for lit in conflict])
+                if not top:
                     return True, found, nodes
-                if high < len(marks):
-                    # The conflict's literals follow from the decisions at
-                    # or below `high`, which every solution found since the
-                    # decision above them extends; such a solution would
-                    # break the conflict, so the levels above hold none.
-                    assert emitted <= high
-                    self._backtrack(high)
-                clause, asserting = self._analyze(conflict, high)
+                # When `top` is below the current level, the conflict's
+                # literals follow from the decisions at or below it, which
+                # every solution found since the decision above them
+                # extends; such a solution would break the conflict, so the
+                # levels above hold none.
+                assert emitted <= top or top == len(marks)
+                # Levels above `top` may still stand: 1-UIP reads only
+                # entries at `top`, and no explanation reads an entry above
+                # its variable's level.
+                clause, asserting = self._analyze(conflict, top)
                 if len(clause) > 1:
                     self._watch(clause[0] ^ 1, clause)
                     self._watch(clause[1] ^ 1, clause)
-                # Undo only the conflict level, unless its subtree emitted
-                # a solution, and assert the clause at its own level.
-                if emitted < len(marks):
-                    cur = trail[marks[-1]] >> 1
-                    self._backtrack(high - 1)
+                # Undo the conflict level and every level above it, unless
+                # its subtree emitted a solution, and assert the clause at
+                # its own level.
+                if emitted < top:
+                    cur = trail[marks[top - 1]] >> 1
+                    self._backtrack(top - 1)
                     self._set(clause[0], clause, asserting)
                     conflict = self._propagate()
                     continue
-            # Chronological step: the top level is exhausted.  Pop it and flip
+            # Chronological step: level `top` is exhausted.  Pop it and flip
             # its decision to 0 if that leaves the variable open; pop on when
             # the 0 branch is spent or refuted.
-            while marks:
-                top = len(marks) - 1
+            while top:
+                top -= 1
                 lit = trail[marks[top]]
                 cur = lit >> 1
                 self._backtrack(top)

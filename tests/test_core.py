@@ -99,6 +99,16 @@ def test_build_board_rejections(rows, cols, circles, skewers, fragment):
         build_board(rows, cols, circles, skewers)
 
 
+# A float or bool header would build a board that `write_coloring` or
+# `parse_board` cannot handle; the header is the first fault reported.
+@pytest.mark.parametrize("size", [2.0, True, "2"])
+def test_build_board_refuses_a_header_that_is_not_an_int(size):
+    for rows, cols in ((size, 2), (2, size)):
+        for circles in ({(1, 1): None, (1, 2): None}, {(3, 3): None}):
+            with pytest.raises(BoardError, match="grid must be int x int"):
+                build_board(rows, cols, circles)
+
+
 @pytest.mark.parametrize("rows,cols,circles,skewers,message,coord,skewer", [
     # explicit skewers come before loners, whatever their row-major place
     (2, 3, {(1, 1): 2, (2, 2): 1, (2, 3): 1}, [[(2, 3), (2, 2)]],

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -233,18 +234,27 @@ def test_engine_rejects_impossible_bounds():
     assert engine.deduce([]) is None
 
 
+# Node total over the systems below.  It pins what the search does on
+# general groups, so an engine change that alters it shows here; a presolve
+# (ROADMAP item 2) is expected to move it, and must give the new total.
+RANDOM_SYSTEM_NODES = 50_917
+
+
 def test_engine_matches_brute_force_on_random_systems():
     # Count groups of any shape, not only board rules: overlapping groups
     # that one literal overspends together are where a backtrack that
     # reports only one of them lets a broken assignment through.
     rng = random.Random(2718)
+    total = 0
     for _ in range(1000):
         system = random_counts(rng)
         expected = counts_oracle(*system)
         for cap in (1, 2, 5, len(expected) + 1):
-            exhausted, found, _ = BoundedCounts(*system).run(cap=cap)
+            exhausted, found, nodes = BoundedCounts(*system).run(cap=cap)
             assert found == expected[:cap]
             assert exhausted == (len(expected) < cap)
+            total += nodes
+    assert total == RANDOM_SYSTEM_NODES
 
 
 # A counter that reaches 0 makes the engine scan its group for open members
@@ -373,16 +383,26 @@ def test_deeper_reduced_enumeration_keeps_every_cap(planted):
 
 
 def test_chronological_backtracking_keeps_n24_search_small():
-    # Backjumping took 57925 nodes on this board; chronological
+    # Backjumping took 57925 nodes on the planted board; chronological
     # backtracking without re-implication 35597, with it 3282, and on true
-    # decision levels 3024.
-    instance = sized_instance(random.Random(1), 24, 30, True)
-    reduced = reduction.reduce(instance)
-    out = solver.solve(reduced.board)
-    assert out.status is SolveStatus.SAT
-    assert out.nodes <= 8_000
-    (coloring,) = out.solutions
-    assert check_coloring(reduced.board, coloring).ok
-    values = reduction.coloring_to_assignment(reduced, coloring)
-    assert all(sum(values[abs(lit) - 1] ^ (lit < 0) for lit in clause) == 1
-               for clause in instance.clauses)
+    # decision levels 3024.  The uniform board is ROADMAP's n=24, m=30 row,
+    # UNSAT by HiGHS; the planted board's first solution has the digest
+    # recorded there (sha256 of the row-major 0/1 string, 12 hex digits).
+    for planted in (False, True):
+        instance = sized_instance(random.Random(1), 24, 30, planted)
+        reduced = reduction.reduce(instance)
+        board = reduced.board
+        out = solver.solve(board)
+        assert out.nodes <= 8_000
+        if not planted:
+            assert out.status is SolveStatus.UNSAT
+            continue
+        assert out.status is SolveStatus.SAT
+        (coloring,) = out.solutions
+        assert check_coloring(board, coloring).ok
+        bits = "".join("01"[coord in coloring.blacks]
+                       for coord in board.row_major)
+        assert hashlib.sha256(bits.encode()).hexdigest()[:12] == "10abdb216609"
+        values = reduction.coloring_to_assignment(reduced, coloring)
+        assert all(sum(values[abs(lit) - 1] ^ (lit < 0) for lit in clause)
+                   == 1 for clause in instance.clauses)
