@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, wraps
+from gc import disable, enable, isenabled
 from itertools import (accumulate, chain, compress, count, groupby, islice,
                        repeat)
 from operator import eq, getitem, gt, itemgetter, or_, sub
@@ -36,6 +37,37 @@ WHITE = "W"
 Coord = tuple[int, int]
 Triple = tuple[Coord, Coord, Coord]
 _T = TypeVar("_T")
+
+
+def _collector_paused(fn):
+    """Run `fn` with the cyclic garbage collector paused.
+
+    The public calls that build or walk per-circle data carry this
+    decorator: building a large board allocates enough containers to fire
+    thousands of collections, and the package makes no reference cycles
+    (`tests/test_collector.py` holds it to that), so every one of them
+    would free nothing.  The collector is disabled for the whole span of
+    the call, not only while a board is built: its allocation count keeps
+    rising while it is off, so the first container allocated after a
+    paused build returns would fire a sweep of everything the build kept.
+    It is enabled again when the call returns or raises.  A caller that has
+    disabled it finds it still off, and nested calls leave it as they
+    found it.  Thresholds are never touched, and nothing is allocated per
+    call but the argument tuple and keyword dict, before the pause.  The
+    collector is process-global: a `gc.enable` or `gc.disable` that
+    another thread makes during a call may be undone when the call
+    returns.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not isenabled():
+            return fn(*args, **kwargs)
+        disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            enable()
+    return paused
 
 
 class BoardError(ValueError):
@@ -168,6 +200,7 @@ class Board(Frozen):
         return None
 
     @cached_property
+    @_collector_paused
     def rules(self) -> Rules:
         """Rules A-D as one flat store of bounded black counts: rule A by
         clued skewer, then the windows of rule B by skewer, C by row and D
@@ -321,6 +354,7 @@ def _canonical_path(path: Sequence[Coord]) -> tuple[Coord, ...]:
     return coords
 
 
+@_collector_paused
 def build_board(rows: int, cols: int,
                 circles: Mapping[Coord, int | None],
                 skewer_list: Iterable[Sequence[Coord]] = ()) -> Board:
@@ -461,6 +495,7 @@ def capped_list(items: Iterable, total: int) -> str:
     return f"{first}" + (f" (+{rest} more)" if rest else "")
 
 
+@_collector_paused
 def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
     """Check a total coloring against rules A-D.
 

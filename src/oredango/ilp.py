@@ -20,7 +20,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import Board, Coord, Frozen, Rules
+from .core import Board, Coord, Frozen, Rules, _collector_paused
 
 
 class LinearConstraint(NamedTuple):
@@ -91,6 +91,7 @@ def _names(model: LinearModel) -> list[str]:
     return [name for name, _ in model.variables]
 
 
+@_collector_paused
 def build_model(board: Board) -> LinearModel:
     """Assemble the 0-1 model of a board.
 
@@ -109,6 +110,7 @@ def build_model(board: Board) -> LinearModel:
 _LP_BLOCK = 4096
 
 
+@_collector_paused
 def export_lp(model: LinearModel) -> str:
     """Serialize a model as deterministic LP text, LF line endings.
 

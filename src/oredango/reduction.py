@@ -47,8 +47,8 @@ import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import solver
-from .core import (BLACK, Board, Coloring, Coord, Frozen, build_board,
-                   capped_list, check_coloring)
+from .core import (BLACK, Board, Coloring, Coord, Frozen, _collector_paused,
+                   build_board, capped_list, check_coloring)
 
 
 class ReductionError(ValueError):
@@ -143,6 +143,7 @@ def _col(lit: int) -> int:
     return 4 * abs(lit) - 2 + (lit < 0)
 
 
+@_collector_paused
 def reduce(instance: OneInThreeInstance) -> ReducedPuzzle:
     """Translate an instance into a board with matching solutions.
 
@@ -238,6 +239,7 @@ def _values(instance_size: int, assignment: Sequence[int]) -> list[int]:
     return list(map(int, assignment))
 
 
+@_collector_paused
 def assignment_to_coloring(reduced: ReducedPuzzle,
                            assignment: Sequence[int]) -> Coloring:
     """Canonical coloring encoding an assignment.
@@ -264,6 +266,7 @@ def assignment_to_coloring(reduced: ReducedPuzzle,
     return Coloring(frozenset(circles), frozenset(blacks))
 
 
+@_collector_paused
 def coloring_to_assignment(reduced: ReducedPuzzle,
                            coloring: Coloring) -> tuple[int, ...]:
     """Read the encoded assignment back from a solving coloring.
@@ -313,6 +316,7 @@ class VerificationResult(NamedTuple):
         return solver.count_text(self.puzzle_solutions, self.capped)
 
 
+@_collector_paused
 def verify_reduction(instance: OneInThreeInstance) -> VerificationResult:
     """Prove the translation exact for one small instance.
 

@@ -25,7 +25,7 @@ from operator import le, mul, not_, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (BLACK, WHITE, Board, Coloring, ColoringError, Coord,
-                   check_coloring)
+                   _collector_paused, check_coloring)
 
 
 class SolveStatus(Enum):
@@ -515,6 +515,7 @@ class BoundedCounts:
         return self._value if self._root(seed) else None
 
 
+@_collector_paused
 def board_engine(board: Board) -> BoundedCounts:
     """The entries of `board.rules` as count groups, one variable per
     circle at its index in `board.row_major`."""
@@ -537,6 +538,7 @@ def _seed_values(board: Board, partial: Mapping[Coord, str],
     return seed
 
 
+@_collector_paused
 def propagate(board: Board, partial: Mapping[Coord, str]) -> PartialColoring | None:
     """Grow a partial coloring by forced deductions.
 
@@ -557,6 +559,7 @@ def propagate(board: Board, partial: Mapping[Coord, str]) -> PartialColoring | N
 
 # Shadows the builtin within this module; internal code indexes with
 # zip(range(...)) instead.
+@_collector_paused
 def enumerate(board: Board, cap: int) -> SolveOutcome:
     """Collect up to `cap` solutions in lexicographic order.
 
@@ -581,6 +584,7 @@ def enumerate(board: Board, cap: int) -> SolveOutcome:
     return SolveOutcome(status, solutions, nodes)
 
 
+@_collector_paused
 def solve(board: Board) -> SolveOutcome:
     """Find the lexicographically first solution, or prove there is none."""
     outcome = enumerate(board, 1)
@@ -589,6 +593,7 @@ def solve(board: Board) -> SolveOutcome:
     return outcome
 
 
+@_collector_paused
 def another_solution(board: Board, known: Iterable[Coloring]) -> Coloring | None:
     """First solution beyond the given ones, or None when they are all.
 

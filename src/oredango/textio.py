@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .core import (BLACK, WHITE, Board, BoardError, Coloring, ColoringError,
-                   Coord, build_board)
+                   Coord, _collector_paused, build_board)
 
 if TYPE_CHECKING:
     from .reduction import OneInThreeInstance
@@ -117,6 +117,7 @@ def _as_int(token: str) -> int | None:
         return None
 
 
+@_collector_paused
 def parse_board(text: str) -> Board:
     """Read a board file; raises ParseError with its first
     MAX_DIAGNOSTICS diagnostics and a count of the rest.
@@ -235,6 +236,7 @@ def _skewer_faults(found: _Found, lineno: int, raw: str, pairs: list[str],
                       f"skewer visits undeclared circle {(row, col)}", raw)
 
 
+@_collector_paused
 def write_board(board: Board) -> str:
     """Canonical board text: headers, circles row-major, then the
     multi-circle skewers in stored order."""
@@ -256,6 +258,7 @@ def write_board(board: Board) -> str:
 _SHAPE = str.maketrans(WHITE, BLACK)
 
 
+@_collector_paused
 def parse_coloring(text: str, board: Board) -> Coloring:
     """Read a coloring grid for `board`; `.` only off circles, B/W on them.
 
@@ -324,6 +327,7 @@ def check_grid_size(board: Board) -> None:
             f"of {MAX_GRID_CELLS} cells")
 
 
+@_collector_paused
 def write_coloring(coloring: Coloring, board: Board) -> str:
     """Grid text of a coloring over `board`; ColoringError beyond
     MAX_GRID_CELLS cells."""
@@ -343,6 +347,7 @@ def write_coloring(coloring: Coloring, board: Board) -> str:
     return "\n".join(lines)
 
 
+@_collector_paused
 def parse_one_in_three(text: str) -> OneInThreeInstance:
     """Read a `.c13` instance file."""
     # imported here so that reading boards does not load `reduction`

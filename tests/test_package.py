@@ -40,6 +40,16 @@ def test_star_import_dir_and_missing_names():
                     "module 'oredango' has no attribute 'nope'"]}
 
 
+def test_import_leaves_the_collector_alone():
+    # only the public calls pause the collector, each for its own span
+    probe = ("import gc; before = gc.get_threshold(); "
+             "import oredango, oredango.cli; "
+             "print(gc.isenabled(), gc.get_threshold() == before)")
+    proc = fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True\n"
+
+
 def test_package_imports_only_the_standard_library():
     outside = []
     for path in sorted((SRC / "oredango").glob("*.py")):
