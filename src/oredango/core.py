@@ -26,9 +26,8 @@ from array import array
 from bisect import bisect_right
 from functools import cached_property, wraps
 from gc import disable, enable, isenabled
-from itertools import (accumulate, chain, compress, count, groupby, islice,
-                       repeat)
-from operator import eq, getitem, gt, itemgetter, or_, sub
+from itertools import chain, compress, count, groupby, islice, repeat
+from operator import eq, getitem, gt, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 BLACK = "B"
@@ -104,46 +103,48 @@ class Frozen:
 
 
 class Rules(Frozen):
-    """Rules A-D of one board as flat integer arrays.  Read it through
-    `Board.rules`; callers must not mutate the arrays.
+    """Rules A-D of one board as bounded black counts.  Read it through
+    `Board.rules`; callers must not mutate its arrays.
 
-    Entry e bounds the black count over the circles
-    `cells[starts[e]:starts[e + 1]]` to [`lo[e]`, `hi[e]`]; a circle is
-    named by its index in `Board.row_major`, and the entry lists it in
-    skewer, row or column order.  `runs` tags the entries line by line as
-    (rule, index, first entry, count): one run per clued skewer for rule
-    A, one per skewer, row or column with a window for rules B, C and D,
-    whose entry `first + w - 1` is window w.  `rule` and `index` read as
-    in `Violation`.  Rules compare equal when their five fields do.
+    Entry e bounds the black count over the circles `groups[e]` to
+    [`lo[e]`, `hi[e]`]; a circle is named by its index in
+    `Board.row_major`, and the entry lists it in skewer, row or column
+    order.  `groups` holds one tuple of indices per entry, and a circle's
+    index is one int object wherever it appears, so the search engine
+    keeps these tuples as they are.  `runs` tags the entries line by line
+    as (rule, index, first entry, count): one run per clued skewer for
+    rule A, one per skewer, row or column with a window for rules B, C
+    and D, whose entry `first + w - 1` is window w.  `rule` and `index`
+    read as in `Violation`.  Rules compare equal when their four fields
+    do.
     """
 
-    cells: array
-    starts: array
+    groups: tuple[tuple[int, ...], ...]
     lo: array
     hi: array
     runs: tuple[tuple[str, int, int, int], ...]
 
-    def __init__(self, cells, starts, lo, hi, runs):
-        vars(self).update(cells=cells, starts=starts, lo=lo, hi=hi, runs=runs)
+    def __init__(self, groups, lo, hi, runs):
+        vars(self).update(groups=groups, lo=lo, hi=hi, runs=runs)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.cells, self.starts, self.lo, self.hi, self.runs)
-                == (other.cells, other.starts, other.lo, other.hi, other.runs))
+        return ((self.groups, self.lo, self.hi, self.runs)
+                == (other.groups, other.lo, other.hi, other.runs))
 
     @cached_property
     def _shape(self) -> list[tuple[int, int]]:
         # (size, count) of each run of equal-sized entries
-        starts = self.starts
         return [(size, len(list(run)))
-                for size, run in groupby(map(sub, starts[1:], starts))]
+                for size, run in groupby(map(len, self.groups))]
 
     def cut(self, flat: Iterable[_T]) -> Iterator[tuple[_T, ...]]:
-        """`flat`, one item per element of `cells`, cut lazily into one
-        tuple per entry: the store's one cutter.  A caller that drops
-        each tuple before taking the next lets `zip` refill it instead
-        of making a new one; `list(rules.cut(...))` keeps them all."""
+        """`flat`, one item per index of `chain.from_iterable(groups)`,
+        cut lazily into one tuple per entry: the store's one cutter.  A
+        caller that drops each tuple before taking the next lets `zip`
+        refill it instead of making a new one; `list(rules.cut(...))`
+        keeps them all."""
         flat = iter(flat)
         # zip over `size` references to one iterator takes `size` items at
         # a time (no entry is empty)
@@ -202,9 +203,9 @@ class Board(Frozen):
     @cached_property
     @_collector_paused
     def rules(self) -> Rules:
-        """Rules A-D as one flat store of bounded black counts: rule A by
-        clued skewer, then the windows of rule B by skewer, C by row and D
-        by column.
+        """Rules A-D as bounded black counts, one tuple of circle indices
+        per entry: rule A by clued skewer, then the windows of rule B by
+        skewer, C by row and D by column.
 
         The board's one rule form, built once: the checker, the search
         engine and the 0-1 model all read it, and nothing else.  Lines are
@@ -213,51 +214,48 @@ class Board(Frozen):
         comparison per circle over each rule's lines laid end to end, and a
         loner's clue is read straight from its circle, so boards made
         mostly of loners and pairs, as reduced boards are, cost little
-        beyond their windows.
+        beyond their windows.  Every index is taken from one list of ints,
+        so each circle is one int object across the whole store.
         """
         coords = self.row_major
         circles = self.circles
-        index = dict(zip(coords, range(len(coords))))
+        ids = list(range(len(coords)))
+        index = dict(zip(coords, ids))
         runs: list[tuple[str, int, int, int]] = []
-        paths: list[tuple[Coord, ...]] = []
+        groups: list[tuple[int, ...]] = []
         clues: list[int] = []
         for k, path in enumerate(self.skewers, start=1):
             clue = (circles[path[0]] if len(path) == 1
                     else self.clue_of(path))
             if clue is not None:
                 runs.append(("A", k, len(clues), 1))
-                paths.append(path)
+                groups.append(tuple(map(index.__getitem__, path)))
                 clues.append(clue)
-        flat = list(map(index.__getitem__, chain.from_iterable(paths)))
-        starts = array("i", list(accumulate(map(len, paths), initial=0)))
         # Each rule's lines, concatenated: circle indices in line order,
         # and beside each its line number.  Row-major order runs row by
         # row; a stable sort by column keeps each column top to bottom.
         long = [(k, path) for k, path in enumerate(self.skewers, start=1)
                 if len(path) > 2]
         col_of = list(map(itemgetter(1), coords))
-        by_col = sorted(range(len(coords)), key=col_of.__getitem__)
+        by_col = sorted(ids, key=col_of.__getitem__)
         first = len(clues)
         for rule, line, line_of in (
                 ("B", [index[c] for _, path in long for c in path],
                  [k for k, path in long for _ in path]),
-                ("C", range(len(coords)), list(map(itemgetter(0), coords))),
+                ("C", ids, list(map(itemgetter(0), coords))),
                 ("D", by_col, list(map(col_of.__getitem__, by_col)))):
             # A window opens at position j when j and j + 2 share a line,
             # so lines of fewer than three circles open none.
             opens = list(map(eq, line_of, line_of[2:]))
-            flat += chain.from_iterable(zip(compress(line, opens),
-                                            compress(line[1:], opens),
-                                            compress(line[2:], opens)))
+            groups += zip(compress(line, opens), compress(line[1:], opens),
+                          compress(line[2:], opens))
             for i, starting in groupby(compress(line_of, opens)):
                 n = len(list(starting))
                 runs.append((rule, i, first, n))
                 first += n
         windows = first - len(clues)
-        starts.extend(range(starts[-1] + 3, len(flat) + 1, 3))
         bounds = array("i", clues)
-        return Rules(array("i", flat), starts,
-                     bounds + array("i", [1]) * windows,
+        return Rules(tuple(groups), bounds + array("i", [1]) * windows,
                      bounds + array("i", [2]) * windows, tuple(runs))
 
 
@@ -503,9 +501,10 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
     rule A by clued skewer, then the windows of B, C and D line by line.
     Black counts are summed over one flag per circle as `Rules.cut`
     hands each entry over, with no tuple kept per entry; coordinates are
-    decoded only for the entries reported.  An empty report means the
-    coloring solves the board.  A coloring over other circles raises
-    ColoringError naming the first few missing and extra coordinates.
+    decoded, from the entry's `rules.groups` tuple, only for the entries
+    reported.  An empty report means the coloring solves the board.  A
+    coloring over other circles raises ColoringError naming the first few
+    missing and extra coordinates.
     """
     if board.circles.keys() != coloring.cells:
         missing = board.circles.keys() - coloring.cells
@@ -518,15 +517,14 @@ def check_coloring(board: Board, coloring: Coloring) -> ViolationReport:
     coords = board.row_major
     rules = board.rules
     flags = bytes(map(coloring.blacks.__contains__, coords))
+    flat = map(getitem, repeat(flags), chain.from_iterable(rules.groups))
     # `sum` drops each tuple before `cut` takes the next, so one is refilled
-    counts = list(map(sum, rules.cut(map(getitem, repeat(flags),
-                                         rules.cells))))
+    counts = list(map(sum, rules.cut(flat)))
     lo, hi = rules.lo, rules.hi
     broken = list(compress(count(), map(or_, map(gt, lo, counts),
                                         map(gt, counts, hi))))
     found = []
     for e in broken:
-        cells = tuple(map(coords.__getitem__,
-                          rules.cells[rules.starts[e]:rules.starts[e + 1]]))
+        cells = tuple(map(coords.__getitem__, rules.groups[e]))
         found.append(Violation(*rules.tag(e), cells, counts[e], lo[e], hi[e]))
     return ViolationReport(found)

@@ -1,11 +1,11 @@
 """0-1 integer model of a board and its LP-format export.
 
 The model of one board has one binary variable per circle, 1 meaning
-black, and one row per entry of the board's flat rule store
-`Board.rules`, bounding the sum of its variables.  It holds its variable
-names and the store, nothing per row: each read of its `constraints`
-lists one `LinearConstraint` per entry, and `export_lp` streams its text
-from the store a row at a time and makes none of them.  The package does
+black, and one row per entry of the board's rule store `Board.rules`,
+bounding the sum of its variables.  It holds its variable names and the
+store, nothing per row: each read of its `constraints` lists one
+`LinearConstraint` per entry, and `export_lp` streams its text from the
+store's `groups` a row at a time and makes none of them.  The package does
 not solve the model: any 0-1 solver that reads LP text does, and its
 point maps back to a coloring through `variables`, whose (name, coord)
 pairs say which circle each variable stands for.  The objective minimizes
@@ -16,7 +16,7 @@ a puzzle solution and vice versa.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -57,10 +57,11 @@ def _row_names(runs: Sequence[tuple[str, int, int, int]]) -> Iterator[str]:
 def _stream(names: Sequence[str], rules: Rules
             ) -> Iterator[tuple[str, tuple[str, ...], int, int]]:
     """The rows as plain (name, terms, lower, upper) tuples, in store
-    order, made as they are consumed."""
-    return zip(_row_names(rules.runs),
-               rules.cut(map(names.__getitem__, rules.cells)),
-               rules.lo, rules.hi)
+    order, made as they are consumed: names are looked up over the
+    store's groups laid end to end and cut back into one tuple per
+    entry."""
+    flat = map(names.__getitem__, chain.from_iterable(rules.groups))
+    return zip(_row_names(rules.runs), rules.cut(flat), rules.lo, rules.hi)
 
 
 class LinearModel(Frozen):

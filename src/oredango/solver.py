@@ -1,8 +1,8 @@
 """Complete solver and propagation engine for Oredango boards.
 
 `Board.rules` stores every puzzle rule as a two-sided bound on a black
-count over circle indices, so the search below works on a single
-constraint shape, `sum of 0-1 variables within [lo, hi]`.
+count over a tuple of circle indices, so the search below works on a
+single constraint shape, `sum of 0-1 variables within [lo, hi]`.
 `BoundedCounts` propagates those bounds with slack counters and searches
 depth-first on the first unassigned circle in row-major order, black
 before white.  Each conflict teaches it a clause (a nogood implied by
@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from itertools import compress
-from operator import le, mul, not_, sub
+from operator import mul, not_, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (BLACK, WHITE, Board, Coloring, ColoringError, Coord,
@@ -57,9 +57,12 @@ class BoundedCounts:
 
     Constraints are groups over variable indices with unit weights, given
     as three parallel sequences: group g bounds the number of ones among
-    `members[g]` to [`lows[g]`, `highs[g]`].  Each group keeps two slack
-    counters: the zeros it can still take (`len(members[g]) - lows[g]`)
-    and the ones it can still take (`highs[g]`).
+    `members[g]` to [`lows[g]`, `highs[g]`].  A group given as a tuple is
+    kept, not copied, so an engine built by `board_engine` shares the
+    tuples of `Board.rules`; any other sequence is copied into a tuple.
+    Each group keeps two slack counters: the zeros it can still take
+    (`len(members[g]) - lows[g]`) and the ones it can still take
+    (`highs[g]`).
     Setting a variable spends one unit of the matching counter in every
     group that holds it, when the variable is propagated; a counter at 0
     forces the group's open members to the other value, and one below 0 is
@@ -127,7 +130,7 @@ class BoundedCounts:
         self._span: list[int] = list(map(sub, highs, lows))
         self._feasible = (min(self._zeros, default=0) >= 0
                           and min(self._ones, default=0) >= 0
-                          and all(map(le, lows, self._ones)))
+                          and min(self._span, default=0) >= 0)
         self.touching: list[list[int]] = [[] for _ in range(nvars)]
         touching = self.touching
         for g, group in zip(range(len(self._members)), self._members):
@@ -518,10 +521,12 @@ class BoundedCounts:
 @_collector_paused
 def board_engine(board: Board) -> BoundedCounts:
     """The entries of `board.rules` as count groups, one variable per
-    circle at its index in `board.row_major`."""
+    circle at its index in `board.row_major`.  The engine keeps the
+    store's own `groups` tuples as its members: building it copies no
+    entry."""
     rules = board.rules
-    return BoundedCounts(len(board.circles), rules.cut(rules.cells),
-                         rules.lo, rules.hi)
+    return BoundedCounts(len(board.circles), rules.groups, rules.lo,
+                         rules.hi)
 
 
 def _seed_values(board: Board, partial: Mapping[Coord, str],

@@ -86,6 +86,12 @@ def test_check_lists_violations_in_rule_order(capsys):
                        str(FIXTURES / "sample4x4-wrong-triples.sol"))
     assert (code, out) == (
         1, fixture_text("golden/sample4x4-wrong-triples.txt"))
+    # a reduced board: one broken pair skewer and one column window
+    code, out, _ = run(capsys, "check",
+                       str(FIXTURES / "golden" / "three-clauses.odg"),
+                       str(FIXTURES / "three-clauses-broken.sol"))
+    assert (code, out) == (
+        1, fixture_text("golden/three-clauses-broken.txt"))
 
 
 def test_check_rejects_malformed_grid(capsys, tmp_path):

@@ -330,7 +330,7 @@ def assert_rules_match_listing(board):
     rules = board.rules
     listing = listed_rules(board)
     index = {c: i for i, c in enumerate(board.row_major)}
-    assert list(rules.cut(rules.cells)) == [
+    assert list(rules.groups) == [
         tuple(map(index.__getitem__, entry[3])) for entry in listing]
     assert list(rules.lo) == [entry[4] for entry in listing]
     assert list(rules.hi) == [entry[5] for entry in listing]
@@ -363,8 +363,7 @@ def test_sample_constraints_in_report_order(sample_board):
     rules = sample_board.rules
     assert [rule for rule, _, _, n in rules.runs for _ in range(n)] \
         == ["A"] * 4 + ["B"] * 7 + ["C"] * 5 + ["D"] * 5
-    first = tuple(map(sample_board.row_major.__getitem__,
-                      list(rules.cut(rules.cells))[0]))
+    first = tuple(map(sample_board.row_major.__getitem__, rules.groups[0]))
     assert (rules.runs[0], first, rules.lo[0], rules.hi[0]) \
         == (("A", 1, 0, 1), sample_board.skewers[0], 3, 3)
 
@@ -417,8 +416,8 @@ def test_constraints_cost_follows_circles_not_header():
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert rules.runs == (("C", mid, 0, 1), ("D", mid, 1, 1))
-    assert list(rules.cut(map(board.row_major.__getitem__, rules.cells))) \
-        == [tuple(row), tuple(col)]
+    assert [tuple(map(board.row_major.__getitem__, g))
+            for g in rules.groups] == [tuple(row), tuple(col)]
     assert (list(rules.lo), list(rules.hi)) == ([1, 1], [2, 2])
 
     start = time.perf_counter()
@@ -496,8 +495,8 @@ def value_case(name):
                       skewers=board.skewers)
         changed, hashable = {"rows": 3}, False
     elif name == "Rules":
-        fields = dict(cells=rules.cells, starts=rules.starts, lo=rules.lo,
-                      hi=rules.hi, runs=rules.runs)
+        fields = dict(groups=rules.groups, lo=rules.lo, hi=rules.hi,
+                      runs=rules.runs)
         changed, hashable = {"runs": ()}, False
     elif name == "Coloring":
         fields = dict(cells=cells, blacks=frozenset({(1, 2)}))

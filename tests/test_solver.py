@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,6 +233,41 @@ def test_engine_rejects_impossible_bounds():
     engine = BoundedCounts(2, [(0, 1)], [2], [1])
     assert engine.run(cap=1) == (True, [], 0)
     assert engine.deduce([]) is None
+
+
+def reduced_n10_board():
+    return reduction.reduce(sized_instance(random.Random(1), 10, 10,
+                                           True)).board
+
+
+def test_engine_keeps_the_rule_store_tuples(sample_board):
+    for board in (sample_board, reduced_n10_board()):
+        groups = board.rules.groups
+        members = solver.board_engine(board)._members
+        assert len(members) == len(groups)
+        assert all(members[g] is groups[g] for g in range(len(groups)))
+
+
+def test_rule_store_shares_one_int_per_circle():
+    board = reduced_n10_board()
+    assert len({id(v) for g in board.rules.groups for v in g}) \
+        <= len(board.circles)
+
+
+def test_engine_keeps_little_beyond_the_rule_store(wide_reduced_board):
+    # the rule store is built first, so only what the engine adds is
+    # counted: its counters and the groups touching each circle, about
+    # 116 B an entry; a fresh tuple of fresh ints per entry costs 250 B
+    board = wide_reduced_board
+    entries = len(board.rules.lo)
+    tracemalloc.start()
+    try:
+        engine = solver.board_engine(board)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert engine.nvars == len(board.circles)
+    assert held < 160 * entries
 
 
 # Node total over the systems below.  It pins what the search does on
