@@ -9,17 +9,18 @@ files (`.sol`) are character grids over `.` (no circle), `B`, and `W`.
 Instance files (`.c13`) start with `p 1in3 <nvars> <nclauses>` and list
 each clause as three nonzero integers closed by `0`.
 
-All three readers skip blank lines and `#` comment lines, tolerate
-surplus whitespace and CRLF endings, and read to the end of the text:
-the ParseError they raise holds the first MAX_DIAGNOSTICS diagnostics
-and counts the rest.  Each diagnostic has a
+A line ends at `\n`, `\r\n` or a lone `\r`; a form feed or any other
+whitespace stays inside its line.  All three readers skip blank lines
+and `#` comment lines, tolerate surplus whitespace, and read to the end
+of the text: the ParseError they raise holds the first MAX_DIAGNOSTICS
+diagnostics and counts the rest.  Each diagnostic has a
 1-based line and a column: the 1-based column of the token at fault, or
 column 0 when the diagnostic is about a whole line or file, which holds
 for a missing header, a grid-line or clause count that differs from the
 header, and a board-rule (`BoardError`) fault.  A missing header or grid
 line is reported at the last significant line, or at line 1 of a file
-without one.  Writers emit canonical LF text that reparses to an equal
-value.
+without one.  A message is cut to 160 characters, the last one `…`.
+Writers emit canonical LF text that reparses to an equal value.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import re
 from itertools import groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (BLACK, WHITE, Board, BoardError, Coloring, ColoringError,
                    Coord, _collector_paused, build_board)
@@ -49,8 +50,10 @@ class ParseDiagnostic(NamedTuple):
 
 
 # Diagnostics a ParseError holds, in reading order; a reader only counts
-# those past them, so hostile input fails in bounded memory.
+# those past them, and cuts each message to _MESSAGE_WIDTH characters, so
+# hostile input fails in bounded memory with a bounded diagnostic.
 MAX_DIAGNOSTICS = 20
+_MESSAGE_WIDTH = 160
 
 
 class ParseError(ValueError):
@@ -84,30 +87,41 @@ class _Found:
 
     def add(self, line: int, column: int, message: str,
             raw: str | None = None) -> None:
-        """Keep one diagnostic while there is room, else count it.  Given
-        the line's text `raw`, `column` is a token index, located only for
-        a diagnostic that is kept."""
+        """Keep one diagnostic while there is room, else count it; `column`
+        and `raw` are read as `_diagnostic` reads them."""
         if len(self.kept) == MAX_DIAGNOSTICS:
             self.more += 1
             return
-        if raw is not None:
-            column = _columns(raw)[column]
-        self.kept.append(ParseDiagnostic(line, column, message))
+        self.kept.append(_diagnostic(line, column, message, raw))
 
 
-def _significant(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, raw
+def _diagnostic(line: int, column: int, message: str, raw: str | None = None,
+                structural: bool = False) -> ParseDiagnostic:
+    """The one maker of a ParseDiagnostic.  Given the line's text `raw`,
+    `column` is an index into `raw.split()`, which splits where `_TOKEN`
+    does, and becomes that token's 1-based column: readers split every
+    line and locate its tokens only for a diagnostic that they keep.  A
+    message past _MESSAGE_WIDTH characters is cut to that width, its last
+    character `…`."""
+    if raw is not None:
+        column = [m.start() + 1 for m in _TOKEN.finditer(raw)][column]
+    if len(message) > _MESSAGE_WIDTH:
+        message = message[:_MESSAGE_WIDTH - 1] + "…"
+    return ParseDiagnostic(line, column, message, structural)
 
 
-def _columns(raw: str) -> list[int]:
-    """The 1-based column of each token of `raw.split()`, which splits
-    where `_TOKEN` does.  Readers split every line and locate its tokens
-    only for a diagnostic that they keep."""
-    return [m.start() + 1 for m in _TOKEN.finditer(raw)]
+def _lines(text: str) -> list[str]:
+    """The lines of `text`, each ended by `\\n`, `\\r\\n` or a lone `\\r`:
+    the line ends `Path.read_text` normalises, and no others."""
+    if "\r" in text:   # the replaces cost more than the split, even idle
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def _significant(text: str) -> list[tuple[int, str]]:
+    """Each line that is neither blank nor a `#` comment, numbered."""
+    return [(lineno, raw) for lineno, raw in enumerate(_lines(text), start=1)
+            if raw.strip()[:1] not in ("", "#")]
 
 
 def _as_int(token: str) -> int | None:
@@ -122,42 +136,41 @@ def parse_board(text: str) -> Board:
     """Read a board file; raises ParseError with its first
     MAX_DIAGNOSTICS diagnostics and a count of the rest.
 
-    One pass reads and checks every line, and makes one coordinate tuple
-    per circle, which keys its clue in the `{(row, col): clue}` mapping
+    The `rows` and `cols` headers are read first; one pass then reads
+    and checks every later line, and makes one coordinate tuple per
+    circle, which keys its clue in the `{(row, col): clue}` mapping
     handed to `build_board`, and so in the board.
     """
+    lines = enumerate(_lines(text), start=1)
+    size: list[tuple[int, int]] = []   # (count, line) of `rows`, `cols`
+    for want in ("rows", "cols"):
+        for lineno, raw in lines:
+            tokens = raw.split()
+            if tokens and tokens[0][0] != "#":
+                break
+        else:
+            last = size[-1][1] if size else 1
+            raise ParseError([_diagnostic(last, 0,
+                                          f"missing `{want}` header")])
+        if tokens[0] != want:
+            raise ParseError([_diagnostic(
+                lineno, 0, f"expected `{want} <count>` header", raw)])
+        count = _as_int(tokens[1]) if len(tokens) == 2 else None
+        if count is None:
+            raise ParseError([_diagnostic(
+                lineno, 0, f"`{want}` header takes one integer", raw)])
+        size.append((count, lineno))
+
     found = _Found()
-    headers: dict[str, int] = {}
-    header_line: dict[str, int] = {}
-    pending = ["rows", "cols"]
     circles: dict[Coord, int | None] = {}
     circle_line: list[int] = []   # each circle's line, in declaration order
     skewers: list[list[Coord]] = []
     skewer_line: list[int] = []
-    last = 1
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
             continue
-        last = lineno
         keyword = tokens[0]
-        if pending:
-            want = pending[0]
-            if keyword != want:
-                raise ParseError([ParseDiagnostic(
-                    lineno, _columns(raw)[0],
-                    f"expected `{want} <count>` header")])
-            count = _as_int(tokens[1]) if len(tokens) == 2 else None
-            if count is None:
-                raise ParseError([ParseDiagnostic(
-                    lineno, _columns(raw)[0],
-                    f"`{want}` header takes one integer")])
-            headers[want] = count
-            header_line[want] = lineno
-            pending.pop(0)
-            continue
-
         if keyword == "circle":
             if len(tokens) not in (3, 4):
                 found.add(lineno, 0,
@@ -200,26 +213,25 @@ def parse_board(text: str) -> Board:
         else:
             found.add(lineno, 0, f"unknown directive `{keyword}`", raw)
 
-    if pending:
-        found.add(last, 0, f"missing `{pending[0]}` header")
     if found.kept:
         raise ParseError(found.kept, found.more)
 
+    (rows, rows_line), (cols, cols_line) = size
     try:
-        return build_board(headers["rows"], headers["cols"], circles, skewers)
+        return build_board(rows, cols, circles, skewers)
     except BoardError as err:
         line = 0
         # a grid below 1x1 is the first fault `build_board` checks
-        if headers["rows"] < 1:
-            line = header_line["rows"]
-        elif headers["cols"] < 1:
-            line = header_line["cols"]
+        if rows < 1:
+            line = rows_line
+        elif cols < 1:
+            line = cols_line
         elif err.skewer is not None and 1 <= err.skewer <= len(skewer_line):
             line = skewer_line[err.skewer - 1]
         elif err.coord in circles:
             line = circle_line[list(circles).index(err.coord)]
-        raise ParseError([ParseDiagnostic(line, 0, str(err),
-                                          structural=True)]) from err
+        raise ParseError([_diagnostic(line, 0, str(err),
+                                      structural=True)]) from err
 
 
 def _skewer_faults(found: _Found, lineno: int, raw: str, pairs: list[str],
@@ -253,27 +265,22 @@ def write_board(board: Board) -> str:
     return "\n".join(lines)
 
 
-# With W read as B, a valid grid row equals its board row's shape: B at
-# each circle, `.` elsewhere.
-_SHAPE = str.maketrans(WHITE, BLACK)
-
-
 @_collector_paused
 def parse_coloring(text: str, board: Board) -> Coloring:
     """Read a coloring grid for `board`; `.` only off circles, B/W on them.
 
-    A row is read whole when it has the board's shape; a row that does
-    not is scanned cell by cell for its diagnostics.
+    A row of the board's width is read whole when each of its circles
+    holds B or W and its `.` count is the number of cells off them; a
+    row that is not is scanned cell by cell for its diagnostics.
     """
     found = _Found()
-    rows = list(_significant(text))
+    rows = _significant(text)
     if len(rows) != board.rows:
         last = rows[-1][0] if rows else 1
-        raise ParseError([ParseDiagnostic(
+        raise ParseError([_diagnostic(
             last, 0, f"expected {board.rows} grid lines, found {len(rows)}")])
     circle_cols = {r: [c for _, c in row]
                    for r, row in groupby(board.row_major, itemgetter(0))}
-    blank = ""
     blacks: list[Coord] = []
     for r, (lineno, raw) in enumerate(rows, start=1):
         cells = raw.strip()
@@ -282,18 +289,11 @@ def parse_coloring(text: str, board: Board) -> Coloring:
             found.add(lineno, lead + 1, f"grid line holds {len(cells)} "
                       f"cells, board has {board.cols}")
             continue
-        # built only once a row of the file has the header's width, so a
-        # short file costs no more than its text whatever the header says
-        blank = blank or "." * board.cols
         cols = circle_cols.get(r, ())
-        shape = blank
-        if cols:
-            marks = list(blank)
-            for c in cols:
-                marks[c - 1] = BLACK
-            shape = "".join(marks)
-        if cells.translate(_SHAPE) == shape:
-            blacks += [(r, c) for c in cols if cells[c - 1] == BLACK]
+        marks = [cells[c - 1] for c in cols]
+        if (cells.count(".") == board.cols - len(cols)
+                and marks.count(BLACK) + marks.count(WHITE) == len(cols)):
+            blacks += [(r, c) for c, mark in zip(cols, marks) if mark == BLACK]
             continue
         for j, char in enumerate(cells, start=1):
             coord = (r, j)
@@ -353,9 +353,9 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
     # imported here so that reading boards does not load `reduction`
     from .reduction import OneInThreeInstance, clause_findings
 
-    lines = list(_significant(text))
+    lines = _significant(text)
     if not lines:
-        raise ParseError([ParseDiagnostic(
+        raise ParseError([_diagnostic(
             1, 0, "missing `p 1in3 <nvars> <nclauses>` header")])
     found = _Found()
     lineno, raw = lines[0]
@@ -364,9 +364,8 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
     nclauses = _as_int(tokens[3]) if len(tokens) > 3 else None
     if (len(tokens) != 4 or tokens[:2] != ["p", "1in3"]
             or nvars is None or nclauses is None or nvars < 0 or nclauses < 0):
-        raise ParseError([ParseDiagnostic(
-            lineno, _columns(raw)[0],
-            "header must read `p 1in3 <nvars> <nclauses>`")])
+        raise ParseError([_diagnostic(
+            lineno, 0, "header must read `p 1in3 <nvars> <nclauses>`", raw)])
 
     body = lines[1:]
     if len(body) != nclauses:

@@ -456,3 +456,103 @@ def test_parse_coloring_pins_short_rows_and_double_faults():
         textio.parse_coloring(_slack_text(SLACK_GRID[:4]), board)
     assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
         (8, 0, "expected 5 grid lines, found 4")]
+
+
+def test_parse_coloring_matches_a_cell_by_cell_check_under_swaps():
+    # a swap keeps a row's counts of `.`, B and W, so it is the edit a
+    # counting check is most likely to miss
+    board = textio.parse_board(SLACK_BOARD)
+    for r, row in enumerate(SLACK_GRID, start=1):
+        for i in range(len(row)):
+            for j in range(i + 1, len(row)):
+                cells = list(row)
+                cells[i], cells[j] = cells[j], cells[i]
+                grid = list(SLACK_GRID)
+                grid[r - 1] = "".join(cells)
+                valid = all(
+                    (char in "BW") == ((r, c) in board.circles)
+                    and char in ".BW"
+                    for c, char in enumerate(cells, start=1))
+                text = _slack_text(grid)
+                if not valid:
+                    with pytest.raises(textio.ParseError):
+                        textio.parse_coloring(text, board)
+                    continue
+                coloring = textio.parse_coloring(text, board)
+                assert coloring.blacks == {
+                    (k, c) for k, line in enumerate(grid, start=1)
+                    for c, char in enumerate(line, start=1) if char == "B"}
+
+
+# every character that `str.splitlines` ends a line at but `\n` and `\r`;
+# each is whitespace to `str.split` and to the readers' token pattern
+INLINE_SPACES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("space", INLINE_SPACES)
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_board_lines_end_only_at_newlines(space, end):
+    text = end.join(["rows 2", "cols 2", f"# note{space}more",
+                     "circle 1 x", ""])
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_board(text)
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] \
+        == [(4, 10, "not an integer: `x`")]
+    board = textio.parse_board(
+        end.join(["rows 2", f"cols{space}2", f"circle 1{space}1", "#"]))
+    assert board == build_board(2, 2, {(1, 1): None})
+
+
+@pytest.mark.parametrize("space", INLINE_SPACES)
+def test_grid_lines_end_only_at_newlines(space):
+    board = build_board(2, 2, {(1, 1): None, (2, 2): None})
+    coloring = textio.parse_coloring(f"# a{space}b\r\nB.{space}\r.W\n",
+                                     board)
+    assert coloring == Coloring(frozenset(board.circles),
+                                frozenset({(1, 1)}))
+
+
+@pytest.mark.parametrize("space", INLINE_SPACES)
+def test_c13_lines_end_only_at_newlines(space):
+    instance = textio.parse_one_in_three(
+        f"p 1in3 3 1\r# a{space}b\r\n1{space}-2 3 0\n")
+    assert instance == reduction.one_in_three(3, [(1, -2, 3)])
+
+
+JUNK = "x" * 100_000
+HUGE = "9" * 4_000
+
+
+@pytest.mark.parametrize("read,start", [
+    (lambda: textio.parse_board(f"rows 1\ncols 1\n{JUNK}\n"),
+     "unknown directive `xxx"),
+    (lambda: textio.parse_board(f"rows 1\ncols 1\ncircle 1 {JUNK}\n"),
+     "not an integer: `xxx"),
+    (lambda: textio.parse_board("rows 2\ncols 2\ncircle 1 1\ncircle 2 2\n"
+                                f"skewer 1 1 2 {JUNK}\n"),
+     "not an integer: `xxx"),
+    (lambda: textio.parse_board("rows 2\ncols 2\n" + f"{JUNK}\n" * 30),
+     "unknown directive `xxx"),
+    (lambda: textio.parse_board(f"rows -{HUGE}\ncols 1\n"),
+     "grid must be at least 1x1, got -999"),
+    (lambda: textio.parse_board(f"rows 1\ncols 1\ncircle {HUGE} 1\n"),
+     "circle (999"),
+    (lambda: textio.parse_coloring(".\n", build_board(1, int(HUGE), {})),
+     "grid line holds 1 cells, board has 999"),
+    (lambda: textio.parse_coloring(".\n", build_board(int(HUGE), 1, {})),
+     "expected 999"),
+    (lambda: textio.parse_one_in_three(f"p 1in3 3 1\n1 2 {HUGE} 0\n"),
+     "literal 999"),
+    (lambda: textio.parse_one_in_three(f"p 1in3 3 1\n1 2 {JUNK} 0\n"),
+     "not an integer: `xxx"),
+    (lambda: textio.parse_one_in_three(f"p 1in3 3 {HUGE}\n"),
+     "header promises 999"),
+], ids=["directive", "circle", "skewer", "many", "header", "off-grid",
+        "grid-width", "grid-lines", "literal", "c13-token", "clause-count"])
+def test_reader_messages_are_cut_to_a_fixed_width(read, start):
+    with pytest.raises(textio.ParseError) as err:
+        read()
+    messages = [d.message for d in err.value.diagnostics]
+    assert messages[0].startswith(start)
+    assert all(len(m) == 160 and m.endswith("…") for m in messages)
+    assert len(str(err.value)) < 600
