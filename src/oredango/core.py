@@ -90,9 +90,22 @@ class ColoringError(ValueError):
 class Frozen:
     """Base of the package's immutable value classes: each sets its
     fields once, in `__init__`, and assigning to or deleting an
-    attribute afterwards raises AttributeError."""
+    attribute afterwards raises AttributeError.  Two instances of one
+    class compare equal, and hash, on the fields that class annotates, in
+    order; a class whose fields cannot hash sets `__hash__ = None`."""
 
     __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, type(self).__annotations__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, *value):
         raise AttributeError(
@@ -123,15 +136,10 @@ class Rules(Frozen):
     lo: array
     hi: array
     runs: tuple[tuple[str, int, int, int], ...]
+    __hash__ = None   # `lo` and `hi` are arrays
 
     def __init__(self, groups, lo, hi, runs):
         vars(self).update(groups=groups, lo=lo, hi=hi, runs=runs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.groups, self.lo, self.hi, self.runs)
-                == (other.groups, other.lo, other.hi, other.runs))
 
     @cached_property
     def _shape(self) -> list[tuple[int, int]]:
@@ -175,16 +183,11 @@ class Board(Frozen):
     cols: int
     circles: Mapping[Coord, int | None]
     skewers: tuple[tuple[Coord, ...], ...]
+    __hash__ = None
 
     def __init__(self, rows, cols, circles, skewers):
         vars(self).update(rows=rows, cols=cols, circles=circles,
                           skewers=skewers)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.rows, self.cols, self.circles, self.skewers)
-                == (other.rows, other.cols, other.circles, other.skewers))
 
     @cached_property
     def row_major(self) -> tuple[Coord, ...]:
@@ -272,14 +275,6 @@ class Coloring(Frozen):
             raise ColoringError("black cells outside the colored domain")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "blacks", blacks)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cells == other.cells and self.blacks == other.blacks
-
-    def __hash__(self):
-        return hash((self.cells, self.blacks))
 
     def __getitem__(self, coord: Coord) -> str:
         if coord not in self.cells:

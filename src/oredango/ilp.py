@@ -71,6 +71,7 @@ class LinearModel(Frozen):
 
     variables: tuple[tuple[str, Coord], ...]
     rules: Rules
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, variables, rules):
         vars(self).update(variables=variables, rules=rules)

@@ -84,14 +84,6 @@ class OneInThreeInstance(Frozen):
         vars(self).update(nvars=nvars, clauses=tuple(
             tuple(sorted(clause, key=abs)) for clause in clauses))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nvars, self.clauses) == (other.nvars, other.clauses)
-
-    def __hash__(self):
-        return hash((self.nvars, self.clauses))
-
 
 def clause_findings(clause: Sequence[int], nvars: int) -> list[tuple[int, str]]:
     """Every way a clause of signed literals breaks the 1-in-3 contract

@@ -100,7 +100,7 @@ def _diagnostic(line: int, column: int, message: str, raw: str | None = None,
     """The one maker of a ParseDiagnostic.  Given the line's text `raw`,
     `column` is an index into `raw.split()`, which splits where `_TOKEN`
     does, and becomes that token's 1-based column: readers split every
-    line and locate its tokens only for a diagnostic that they keep.  A
+    line and locate its tokens only when the line is at fault.  A
     message past _MESSAGE_WIDTH characters is cut to that width, its last
     character `…`."""
     if raw is not None:
@@ -237,15 +237,20 @@ def parse_board(text: str) -> Board:
 def _skewer_faults(found: _Found, lineno: int, raw: str, pairs: list[str],
                    declared: dict[Coord, int | None]) -> None:
     """Diagnose a faulty skewer line pair by pair: the first non-integer
-    of a pair, else an undeclared circle at its row token."""
-    for k in range(0, len(pairs), 2):
-        row, col = _as_int(pairs[k]), _as_int(pairs[k + 1])
-        if row is None or col is None:
+    of a pair, else an undeclared circle at its row token.  The line is
+    scanned once: one `_TOKEN` pass, read in step with the pairs, gives
+    each pair's two token columns."""
+    columns = (m.start() + 1 for m in _TOKEN.finditer(raw))
+    next(columns)   # the keyword's
+    for k, at in zip(range(0, len(pairs), 2), zip(columns, columns)):
+        row = _as_int(pairs[k])
+        col = None if row is None else _as_int(pairs[k + 1])
+        if col is None:
             bad = k if row is None else k + 1
-            found.add(lineno, bad + 1, f"not an integer: `{pairs[bad]}`", raw)
+            found.add(lineno, at[bad - k], f"not an integer: `{pairs[bad]}`")
         elif (row, col) not in declared:
-            found.add(lineno, k + 1,
-                      f"skewer visits undeclared circle {(row, col)}", raw)
+            found.add(lineno, at[0],
+                      f"skewer visits undeclared circle {(row, col)}")
 
 
 @_collector_paused

@@ -1,6 +1,8 @@
 import random
 import time
 import tracemalloc
+from array import array
+from collections.abc import Hashable
 from itertools import groupby
 from operator import itemgetter
 
@@ -587,3 +589,33 @@ def test_value_types_keep_their_contracts(name):
     if name == "Coloring":
         with pytest.raises(KeyError):
             value[(9, 9)]
+
+
+# Per `core.Frozen` value type, another value for each of its fields
+OTHER_FIELD = {
+    "Board": dict(rows=3, cols=4, circles={(1, 1): None},
+                  skewers=(((1, 1),),)),
+    "Rules": dict(groups=((0,),), lo=array("i", [0]), hi=array("i", [9]),
+                  runs=(("A", 1, 0, 1),)),
+    "Coloring": dict(cells=frozenset({(1, 1), (1, 2), (2, 3), (9, 9)}),
+                     blacks=frozenset()),
+    "OneInThreeInstance": dict(nvars=4, clauses=((1, 2, 3),)),
+}
+
+
+def test_frozen_value_types_compare_on_every_field():
+    values = {}
+    for name, others in OTHER_FIELD.items():
+        cls = VALUE_TYPES[name]
+        fields = value_case(name)[0]
+        assert list(others) == list(fields) == list(cls.__annotations__)
+        value = values[name] = cls(**fields)
+        for field, other in others.items():
+            changed = cls(**{**fields, field: other})
+            assert value != changed and not value == changed, field
+        assert isinstance(value, Hashable) == (name not in ("Board", "Rules"))
+    # each type is unequal to every other one, and comparing raises nothing
+    for name, value in values.items():
+        for other_name, other in values.items():
+            if other_name != name:
+                assert value != other and not value == other

@@ -356,6 +356,27 @@ def test_reader_holds_a_bounded_number_of_diagnostics(read):
     assert str(err.value).endswith("; (+9997 more)")
 
 
+def test_a_faulty_skewer_line_is_scanned_once(monkeypatch):
+    token = textio._TOKEN
+    scans = []
+
+    class Counted:
+        def finditer(self, text):
+            scans.append(len(text))
+            return token.finditer(text)
+
+    monkeypatch.setattr(textio, "_TOKEN", Counted())
+    # five declared pairs, then 25 undeclared circles from column 28 on
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_board("rows 1\ncols 1\ncircle 1 1\nskewer "
+                           + "1 1 " * 5 + "9 9 " * 25 + "\n")
+    found = err.value.diagnostics
+    assert [(d.line, d.column) for d in found] \
+        == [(4, 28 + 4 * k) for k in range(20)]
+    assert err.value.more == 5
+    assert len(scans) == 1
+
+
 def test_board_reader_accepts_what_int_accepts():
     board = textio.parse_board(
         "rows 2\ncols 12\ncircle +1 1_0\ncircle 1 +1_1 +0\n")
